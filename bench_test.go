@@ -593,10 +593,14 @@ func BenchmarkExtensionProcessLevel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	tabu := procsched.NewTabu()
+	tabu.Restarts, tabu.MaxIterations = 3, 30
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res := procsched.Tabu(pr, procsched.TabuOptions{Restarts: 3, MaxIterations: 30},
-			rand.New(rand.NewSource(1)))
+		res, err := procsched.Search(nil, pr, tabu, rand.New(rand.NewSource(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
 		rnd := pr.Cost(pr.RandomAssignment(rand.New(rand.NewSource(2))))
 		gain = rnd / res.BestCost
 	}

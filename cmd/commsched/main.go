@@ -50,20 +50,12 @@ func main() {
 		metric    = flag.String("metric", "resistance", "distance model: resistance or hops")
 		randoms   = flag.Int("randoms", 3, "random baseline mappings to report")
 		dumpTable = flag.Bool("table", false, "print the table of equivalent distances")
-
-		metricsOut = flag.String("metrics", "", "write an observability trace (JSON lines) to this file")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		serve      = flag.String("serve", "", "serve live telemetry (/metrics /events /runs /healthz /debug/pprof) on this address while running, e.g. :8080 or :0")
-		trace      = flag.String("trace", "", "record a Chrome trace-event JSON file (view in Perfetto / chrome://tracing)")
 	)
+	tel := telemetry.Flags()
 	durable := runctl.Flags(false)
 	flag.Parse()
 
-	svc, err := telemetry.Start(telemetry.Options{
-		Serve: *serve, Trace: *trace, Metrics: *metricsOut,
-		CPUProfile: *cpuprofile, MemProfile: *memprofile, Banner: os.Stderr,
-	})
+	svc, err := telemetry.Start(*tel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "commsched:", err)
 		os.Exit(1)
@@ -129,7 +121,7 @@ func run(ctx context.Context, topo string, switches, degree, rings, ringSize, br
 		fmt.Print(sys.DistanceTable().String())
 	}
 
-	searcher, err := pickSearcher(heuristic)
+	searcher, err := search.ByName(heuristic)
 	if err != nil {
 		return err
 	}
@@ -220,25 +212,4 @@ func parseWeights(s string) ([]float64, error) {
 		ws = append(ws, v)
 	}
 	return ws, nil
-}
-
-func pickSearcher(name string) (search.Searcher, error) {
-	switch name {
-	case "tabu":
-		return search.NewTabu(), nil
-	case "greedy":
-		return search.NewGreedy(), nil
-	case "sa":
-		return search.NewAnneal(), nil
-	case "ga":
-		return search.NewGenetic(), nil
-	case "gsa":
-		return search.NewGSA(), nil
-	case "random":
-		return &search.RandomSample{Samples: 1000}, nil
-	case "exhaustive":
-		return search.NewExhaustive(), nil
-	default:
-		return nil, fmt.Errorf("unknown heuristic %q", name)
-	}
 }

@@ -143,18 +143,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestPickSearcherAll(t *testing.T) {
-	for _, name := range []string{"tabu", "greedy", "sa", "ga", "gsa", "random", "exhaustive"} {
-		s, err := pickSearcher(name)
-		if err != nil || s == nil {
-			t.Fatalf("pickSearcher(%q) failed: %v", name, err)
-		}
-	}
-	if _, err := pickSearcher("bogus"); err == nil {
-		t.Fatal("bogus searcher accepted")
-	}
-}
-
 func TestRunWeightedScheduling(t *testing.T) {
 	out, err := capture(t, func() error {
 		return run(context.Background(), "irregular", 12, 3, 0, 0, 0, 0, 0, 0, "", 1, 4, "50,1,1,1", 42, "tabu", "resistance", 0, false, runctl.Config{})

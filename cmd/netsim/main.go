@@ -44,19 +44,12 @@ func main() {
 		simSeed  = flag.Int64("simseed", 7, "simulation seed")
 		drawPlot = flag.Bool("plot", false, "draw an ASCII latency-vs-traffic chart")
 
-		metrics    = flag.String("metrics", "", "write an observability trace (JSON lines) to this file")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		manifest   = flag.String("manifest", "", "write a run manifest (seeds, topology hash, timings) to this file")
-		serve      = flag.String("serve", "", "serve live telemetry (/metrics /events /runs /healthz /debug/pprof) on this address while running, e.g. :8080 or :0")
-		trace      = flag.String("trace", "", "record a Chrome trace-event JSON file (view in Perfetto / chrome://tracing)")
+		manifest = flag.String("manifest", "", "write a run manifest (seeds, topology hash, timings) to this file")
 	)
+	tel := telemetry.Flags()
 	durable := runctl.Flags(true)
 	flag.Parse()
-	svc, err := telemetry.Start(telemetry.Options{
-		Serve: *serve, Trace: *trace, Metrics: *metrics,
-		CPUProfile: *cpuprofile, MemProfile: *memprofile, Banner: os.Stderr,
-	})
+	svc, err := telemetry.Start(*tel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netsim:", err)
 		os.Exit(1)

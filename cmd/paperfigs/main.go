@@ -34,20 +34,12 @@ func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 1..6, clustering, claims, ablations, model, resilience, adversarial, or all")
 	quick := flag.Bool("quick", false, "reduced simulation scale (for smoke runs)")
 	csvDir := flag.String("csv", "", "also write fig1/fig3/fig5/fig6 data as CSV files into this directory")
-	metrics := flag.String("metrics", "", "write an observability trace (JSON lines) to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	manifest := flag.String("manifest", "", "write a run manifest (seeds, topology hashes, timings) to this file")
-	serve := flag.String("serve", "", "serve live telemetry (/metrics /events /runs /healthz /debug/pprof) on this address while running, e.g. :8080 or :0")
-	trace := flag.String("trace", "", "record a Chrome trace-event JSON file (view in Perfetto / chrome://tracing)")
+	tel := telemetry.Flags()
 	durable := runctl.Flags(true)
 	flag.Parse()
 
-	opts := telemetry.Options{
-		Serve: *serve, Trace: *trace, Metrics: *metrics,
-		CPUProfile: *cpuprofile, MemProfile: *memprofile, Banner: os.Stderr,
-	}
-	if err := mainErr(*fig, *quick, *csvDir, opts, *manifest, *durable); err != nil {
+	if err := mainErr(*fig, *quick, *csvDir, *tel, *manifest, *durable); err != nil {
 		fmt.Fprintln(os.Stderr, "paperfigs:", err)
 		os.Exit(1)
 	}

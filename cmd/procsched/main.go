@@ -38,19 +38,11 @@ func main() {
 		slots    = flag.Int("slots", 2, "process slots per workstation")
 		seed     = flag.Int64("seed", 1, "search seed")
 		simulate = flag.Bool("simulate", false, "also simulate scheduled vs random placement")
-
-		metrics    = flag.String("metrics", "", "write an observability trace (JSON lines) to this file")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		serve      = flag.String("serve", "", "serve live telemetry (/metrics /events /runs /healthz /debug/pprof) on this address while running, e.g. :8080 or :0")
-		trace      = flag.String("trace", "", "record a Chrome trace-event JSON file (view in Perfetto / chrome://tracing)")
 	)
+	tel := telemetry.Flags()
 	durable := runctl.Flags(false)
 	flag.Parse()
-	svc, err := telemetry.Start(telemetry.Options{
-		Serve: *serve, Trace: *trace, Metrics: *metrics,
-		CPUProfile: *cpuprofile, MemProfile: *memprofile, Banner: os.Stderr,
-	})
+	svc, err := telemetry.Start(*tel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "procsched:", err)
 		os.Exit(1)
@@ -198,7 +190,10 @@ func tabuUnit(ctx context.Context, pr *procsched.Problem, sizes []int, slots int
 			}, nil
 		}
 	}
-	res := procsched.Tabu(pr, procsched.TabuOptions{}, rand.New(rand.NewSource(seed)))
+	res, err := procsched.Search(ctx, pr, procsched.NewTabu(), rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, err
+	}
 	if runstate.Enabled() {
 		runstate.RecordCtx(ctx, key, tabuPayload{
 			HostOf: res.Best.HostOf, BestCost: res.BestCost,

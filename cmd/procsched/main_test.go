@@ -1,12 +1,13 @@
 package main
 
 import (
-	"commsched/internal/runctl"
 	"context"
-
+	"errors"
 	"os"
 	"strings"
 	"testing"
+
+	"commsched/internal/runctl"
 )
 
 func capture(t *testing.T, f func() error) (string, error) {
@@ -94,5 +95,16 @@ func TestRunErrors(t *testing.T) {
 		return run(context.Background(), 8, 3, 77, "4,4", 0, 1, false, runctl.Config{}) // zero slots
 	}); err == nil {
 		t.Fatal("zero slots accepted")
+	}
+}
+
+func TestRunCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := capture(t, func() error {
+		return run(ctx, 8, 3, 77, "6,10", 2, 1, false, runctl.Config{})
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

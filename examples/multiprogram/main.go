@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -56,7 +57,10 @@ func main() {
 	fmt.Printf("NOW: %d switches, %d workstations x 2 slots; %d processes in 3 applications (11/17/20)\n\n",
 		net.Switches(), net.Hosts(), pr.Processes())
 
-	scheduled := procsched.Tabu(pr, procsched.TabuOptions{}, rand.New(rand.NewSource(1)))
+	scheduled, err := procsched.Search(context.Background(), pr, procsched.NewTabu(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		log.Fatal(err)
+	}
 	random := pr.RandomAssignment(rand.New(rand.NewSource(2)))
 
 	report := func(label string, hostOf []int, cost float64) *traffic.ProcessIntra {

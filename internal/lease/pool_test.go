@@ -52,6 +52,11 @@ func TestPoolContentionProperty(t *testing.T) {
 	// TTL, journals two of them under its (low) tokens, then vanishes
 	// without done markers or releases.
 	dead := openTestManager(t, dir, "dead", time.Millisecond)
+	// Freeze the crashed worker's clock while it claims, so a claim cannot
+	// lapse between its fsync'd write and the read-back; on every other
+	// worker's clock the leases expire a millisecond after this instant.
+	claimed := time.Now()
+	dead.now = func() time.Time { return claimed }
 	for _, u := range []int{0, 3, 7} {
 		if _, err := dead.Acquire(fmt.Sprintf("loop/i%06d", u), false); err != nil {
 			t.Fatalf("dead acquire: %v", err)

@@ -140,18 +140,20 @@ func (p *Partition) Assign() []int {
 	return out
 }
 
-// Clone returns an independent copy of the partition.
+// Clone returns an independent copy of the partition. The member lists
+// share one backing array, each capped at its length so none can grow
+// into its neighbour; nothing appends to them after New.
 func (p *Partition) Clone() *Partition {
 	cp := &Partition{
-		assign:  make([]int, len(p.assign)),
+		assign:  append([]int(nil), p.assign...),
 		members: make([][]int, len(p.members)),
-		pos:     make([]int, len(p.pos)),
+		pos:     append([]int(nil), p.pos...),
 	}
-	copy(cp.assign, p.assign)
-	copy(cp.pos, p.pos)
+	backing := make([]int, 0, len(p.assign))
 	for c, ms := range p.members {
-		cp.members[c] = make([]int, len(ms))
-		copy(cp.members[c], ms)
+		start := len(backing)
+		backing = append(backing, ms...)
+		cp.members[c] = backing[start:len(backing):len(backing)]
 	}
 	return cp
 }

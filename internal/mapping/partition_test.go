@@ -166,6 +166,36 @@ func TestCloneIndependent(t *testing.T) {
 	if q.Cluster(0) != 0 {
 		t.Fatal("Clone shares state with original")
 	}
+	// Swaps on a clone keep its member lists consistent and leave the
+	// original's alone.
+	rng := rand.New(rand.NewSource(4))
+	p, _ = RandomSizes([]int{3, 1, 5, 2}, rng)
+	orig := p.Assign()
+	q = p.Clone()
+	for i := 0; i < 200; i++ {
+		q.Swap(rng.Intn(q.N()), rng.Intn(q.N()))
+	}
+	for _, part := range []*Partition{p, q} {
+		seen := make([]int, part.N())
+		for c := 0; c < part.M(); c++ {
+			for _, s := range part.MembersUnordered(c) {
+				if part.Cluster(s) != c {
+					t.Fatalf("switch %d listed in cluster %d, assigned to %d", s, c, part.Cluster(s))
+				}
+				seen[s]++
+			}
+		}
+		for s, n := range seen {
+			if n != 1 {
+				t.Fatalf("switch %d listed %d times", s, n)
+			}
+		}
+	}
+	for s, c := range orig {
+		if p.Cluster(s) != c {
+			t.Fatal("swaps on a clone changed the original")
+		}
+	}
 }
 
 func TestEqual(t *testing.T) {

@@ -101,7 +101,7 @@ func (pr *Problem) Clusters() int { return pr.clusters }
 type Assignment struct {
 	// HostOf maps process -> host.
 	HostOf []int
-	// load[h] = processes currently on host h.
+	// load[h] = processes on host h.
 	load []int
 }
 
@@ -140,98 +140,27 @@ func (pr *Problem) RandomAssignment(rng *rand.Rand) *Assignment {
 	return a
 }
 
-// Clone returns an independent copy of the assignment.
-func (a *Assignment) Clone() *Assignment {
-	return &Assignment{
-		HostOf: append([]int(nil), a.HostOf...),
-		load:   append([]int(nil), a.load...),
-	}
-}
-
 // Load returns the number of processes on host h.
 func (a *Assignment) Load(h int) int { return a.load[h] }
-
-// SwapProcesses exchanges the hosts of processes p and q.
-func (a *Assignment) SwapProcesses(p, q int) {
-	a.HostOf[p], a.HostOf[q] = a.HostOf[q], a.HostOf[p]
-}
-
-// MoveProcess relocates process p to host h. The caller must ensure h has
-// a free slot; MoveProcess panics otherwise to expose scheduler bugs.
-func (a *Assignment) MoveProcess(p, h, slotsPerHost int) {
-	if a.load[h] >= slotsPerHost {
-		panic(fmt.Sprintf("procsched: moving process %d to full host %d", p, h))
-	}
-	a.load[a.HostOf[p]]--
-	a.HostOf[p] = h
-	a.load[h]++
-}
 
 // Cost is the process-level similarity objective: Σ over same-cluster
 // process pairs of T²(switch(p), switch(q)).
 func (pr *Problem) Cost(a *Assignment) float64 {
+	return pr.cost(func(p int) int { return a.HostOf[p] })
+}
+
+// cost is the objective over any process→host lookup; Cost and the
+// search's slot partition share it.
+func (pr *Problem) cost(hostOf func(p int) int) float64 {
+	hps := pr.Net.HostsPerSwitch()
 	total := 0.0
-	for p := 0; p < pr.Processes(); p++ {
-		sp := pr.Net.HostSwitch(a.HostOf[p])
-		row := pr.t2[sp]
-		for q := p + 1; q < pr.Processes(); q++ {
-			if pr.ClusterOf[p] != pr.ClusterOf[q] {
-				continue
+	for p, cp := range pr.ClusterOf {
+		row := pr.t2[hostOf(p)/hps]
+		for q := p + 1; q < len(pr.ClusterOf); q++ {
+			if pr.ClusterOf[q] == cp {
+				total += row[hostOf(q)/hps]
 			}
-			total += row[pr.Net.HostSwitch(a.HostOf[q])]
 		}
 	}
 	return total
-}
-
-// SwapDelta returns the cost change of swapping processes p and q, in
-// O(P) time. Swapping processes of the same cluster or on the same switch
-// is cost-neutral only when their switch sets coincide; the general form
-// is computed directly.
-func (pr *Problem) SwapDelta(a *Assignment, p, q int) float64 {
-	if p == q || a.HostOf[p] == a.HostOf[q] {
-		return 0
-	}
-	sp := pr.Net.HostSwitch(a.HostOf[p])
-	sq := pr.Net.HostSwitch(a.HostOf[q])
-	if sp == sq {
-		return 0 // same switch: distances unchanged
-	}
-	delta := 0.0
-	for r := 0; r < pr.Processes(); r++ {
-		if r == p || r == q {
-			continue
-		}
-		sr := pr.Net.HostSwitch(a.HostOf[r])
-		if pr.ClusterOf[r] == pr.ClusterOf[p] {
-			delta += pr.t2[sq][sr] - pr.t2[sp][sr]
-		}
-		if pr.ClusterOf[r] == pr.ClusterOf[q] {
-			delta += pr.t2[sp][sr] - pr.t2[sq][sr]
-		}
-	}
-	// The (p,q) pair itself: both before and after, one sits at sp and the
-	// other at sq, so its contribution (nonzero only when same cluster) is
-	// unchanged.
-	return delta
-}
-
-// MoveDelta returns the cost change of relocating process p to host h
-// (which must have a free slot; validity is the caller's concern — the
-// delta itself is well defined regardless).
-func (pr *Problem) MoveDelta(a *Assignment, p, h int) float64 {
-	oldS := pr.Net.HostSwitch(a.HostOf[p])
-	newS := pr.Net.HostSwitch(h)
-	if oldS == newS {
-		return 0
-	}
-	delta := 0.0
-	for r := 0; r < pr.Processes(); r++ {
-		if r == p || pr.ClusterOf[r] != pr.ClusterOf[p] {
-			continue
-		}
-		sr := pr.Net.HostSwitch(a.HostOf[r])
-		delta += pr.t2[newS][sr] - pr.t2[oldS][sr]
-	}
-	return delta
 }

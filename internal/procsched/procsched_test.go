@@ -47,6 +47,35 @@ func balancedClusters(p, m int) []int {
 	return out
 }
 
+// tabu returns the process-level Tabu with the given restarts and
+// iterations per restart.
+func tabu(restarts, iterations int) *search.Tabu {
+	t := NewTabu()
+	t.Restarts, t.MaxIterations = restarts, iterations
+	return t
+}
+
+// mustSearch runs Search from a fresh rng with the given seed.
+func mustSearch(t *testing.T, pr *Problem, tb *search.Tabu, seed int64) *Result {
+	t.Helper()
+	res, err := Search(context.Background(), pr, tb, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// randomSlots draws a random slot partition of the problem: items
+// [0,Processes()) are processes, the rest free slots.
+func randomSlots(t *testing.T, pr *Problem, rng *rand.Rand) *mapping.Partition {
+	t.Helper()
+	part, err := mapping.RandomSizes(pr.slotSpec().Sizes, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part
+}
+
 func TestNewProblemValidation(t *testing.T) {
 	net, err := topology.RandomIrregular(8, 3, rand.New(rand.NewSource(1)), topology.Config{})
 	if err != nil {
@@ -139,50 +168,40 @@ func TestCostZeroWhenColocated(t *testing.T) {
 }
 
 func TestSwapAndMoveDeltaMatchRecompute(t *testing.T) {
-	pr := fixture(t, 8, balancedClusters(24, 4), 2, 7)
+	pr := fixture(t, 8, balancedClusters(24, 4), 2, 7) // 64 slots, 40 free
+	obj := slots{pr}
 	rng := rand.New(rand.NewSource(8))
-	a := pr.RandomAssignment(rng)
-	for trial := 0; trial < 200; trial++ {
-		if trial%2 == 0 {
-			p, q := rng.Intn(24), rng.Intn(24)
-			before := pr.Cost(a)
-			delta := pr.SwapDelta(a, p, q)
-			a.SwapProcesses(p, q)
-			if after := pr.Cost(a); math.Abs(after-before-delta) > 1e-9 {
-				t.Fatalf("swap trial %d: delta %v, recompute %v", trial, delta, after-before)
+	part := randomSlots(t, pr, rng)
+	n := part.N()
+	swaps, moves := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		delta := obj.SwapDelta(part, u, v)
+		if u >= pr.Processes() && v >= pr.Processes() {
+			if !math.IsInf(delta, 1) {
+				t.Fatalf("free slots %d<->%d: delta %v, want +Inf", u, v, delta)
 			}
+			continue
+		}
+		if u >= pr.Processes() || v >= pr.Processes() {
+			moves++
 		} else {
-			p := rng.Intn(24)
-			h := rng.Intn(pr.Net.Hosts())
-			if h == a.HostOf[p] || a.Load(h) >= pr.SlotsPerHost {
-				continue
-			}
-			before := pr.Cost(a)
-			delta := pr.MoveDelta(a, p, h)
-			a.MoveProcess(p, h, pr.SlotsPerHost)
-			if after := pr.Cost(a); math.Abs(after-before-delta) > 1e-9 {
-				t.Fatalf("move trial %d: delta %v, recompute %v", trial, delta, after-before)
-			}
+			swaps++
+		}
+		before := obj.IntraSum(part)
+		part.Swap(u, v)
+		if after := obj.IntraSum(part); math.Abs(after-before-delta) > 1e-9 {
+			t.Fatalf("trial %d, swap %d<->%d: delta %v, recompute %v", trial, u, v, delta, after-before)
 		}
 	}
-}
-
-func TestMoveProcessPanicsOnFullHost(t *testing.T) {
-	pr := fixture(t, 8, balancedClusters(32, 4), 1, 9)
-	a := pr.RandomAssignment(rand.New(rand.NewSource(1)))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic moving to a full host")
-		}
-	}()
-	// All hosts are full (32 processes, 32 hosts, 1 slot).
-	a.MoveProcess(0, a.HostOf[1], pr.SlotsPerHost)
+	if swaps == 0 || moves == 0 {
+		t.Fatalf("trials covered %d process swaps and %d moves to free slots", swaps, moves)
+	}
 }
 
 func TestTabuBeatsRandom(t *testing.T) {
 	pr := fixture(t, 12, balancedClusters(48, 4), 1, 10)
-	rng := rand.New(rand.NewSource(11))
-	res := Tabu(pr, TabuOptions{Restarts: 3, MaxIterations: 30}, rng)
+	res := mustSearch(t, pr, tabu(3, 30), 11)
 	randCost := pr.Cost(pr.RandomAssignment(rand.New(rand.NewSource(99))))
 	if res.BestCost >= randCost {
 		t.Fatalf("tabu cost %v not below random %v", res.BestCost, randCost)
@@ -255,7 +274,7 @@ func TestTabuMatchesSwitchLevelOnAlignedInstance(t *testing.T) {
 	if math.Abs(alignedCost-16*sw.BestIntraSum) > 1e-6 {
 		t.Fatalf("aligned cost %v != 16 × switch objective %v", alignedCost, 16*sw.BestIntraSum)
 	}
-	res := Tabu(pr, TabuOptions{Restarts: 6, MaxIterations: 60}, rand.New(rand.NewSource(14)))
+	res := mustSearch(t, pr, tabu(6, 60), 14)
 	if res.BestCost > alignedCost+1e-9 {
 		t.Fatalf("process-level tabu (%v) worse than the aligned switch-level solution (%v)",
 			res.BestCost, alignedCost)
@@ -267,7 +286,7 @@ func TestTabuMultiprogrammedConsolidates(t *testing.T) {
 	// (4 hosts × 2). The search should reach zero (fully co-located) cost
 	// on a small instance.
 	pr := fixture(t, 8, balancedClusters(16, 2), 2, 15)
-	res := Tabu(pr, TabuOptions{Restarts: 8, MaxIterations: 80}, rand.New(rand.NewSource(16)))
+	res := mustSearch(t, pr, tabu(8, 80), 16)
 	if res.BestCost > 1e-9 {
 		t.Fatalf("2 clusters × 8 procs with 2 slots/host: cost %v, want 0 (one switch per cluster)", res.BestCost)
 	}
@@ -275,34 +294,34 @@ func TestTabuMultiprogrammedConsolidates(t *testing.T) {
 
 func TestTabuDeterministicPerSeed(t *testing.T) {
 	pr := fixture(t, 8, balancedClusters(24, 3), 1, 17)
-	a := Tabu(pr, TabuOptions{Restarts: 2, MaxIterations: 20}, rand.New(rand.NewSource(3)))
-	b := Tabu(pr, TabuOptions{Restarts: 2, MaxIterations: 20}, rand.New(rand.NewSource(3)))
+	a := mustSearch(t, pr, tabu(2, 20), 3)
+	b := mustSearch(t, pr, tabu(2, 20), 3)
 	if a.BestCost != b.BestCost {
 		t.Fatalf("same seed, different costs: %v vs %v", a.BestCost, b.BestCost)
 	}
 }
 
-// Property: the cost is invariant under relabeling processes within the
-// same host (swapping co-hosted processes changes nothing).
+// Property: the cost is invariant under moving a process within its
+// switch (to another process's slot or a free one there).
 func TestQuickCostInvariants(t *testing.T) {
 	pr := fixture(t, 8, balancedClusters(24, 4), 2, 18)
+	obj := slots{pr}
+	hps := pr.Net.HostsPerSwitch()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := pr.RandomAssignment(rng)
-		c := pr.Cost(a)
+		part := randomSlots(t, pr, rng)
+		c := obj.IntraSum(part)
 		if c < 0 {
 			return false
 		}
-		p, q := rng.Intn(24), rng.Intn(24)
-		if a.HostOf[p] == a.HostOf[q] {
-			if pr.SwapDelta(a, p, q) != 0 {
-				return false
-			}
+		u, v := rng.Intn(24), rng.Intn(part.N())
+		if part.Cluster(u)/hps == part.Cluster(v)/hps && obj.SwapDelta(part, u, v) != 0 {
+			return false
 		}
 		// Swap twice restores the cost.
-		a.SwapProcesses(p, q)
-		a.SwapProcesses(p, q)
-		return math.Abs(pr.Cost(a)-c) < 1e-9
+		part.Swap(u, v)
+		part.Swap(u, v)
+		return math.Abs(obj.IntraSum(part)-c) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -358,24 +377,24 @@ func TestTabuContextCancelled(t *testing.T) {
 	pr := fixture(t, 8, balancedClusters(16, 4), 4, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := TabuContext(ctx, pr, TabuOptions{}, rand.New(rand.NewSource(1)))
-	if !errors.Is(err, context.Canceled) {
+	if _, err := Search(ctx, pr, NewTabu(), rand.New(rand.NewSource(1))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res == nil {
-		t.Fatal("cancelled search must still return the best-so-far result")
 	}
 }
 
-func TestTabuContextMatchesTabu(t *testing.T) {
-	pr := fixture(t, 8, balancedClusters(16, 4), 4, 1)
-	plain := Tabu(pr, TabuOptions{}, rand.New(rand.NewSource(3)))
-	withCtx, err := TabuContext(context.Background(), pr, TabuOptions{}, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
+func TestSearchParallelMatchesSerial(t *testing.T) {
+	pr := fixture(t, 8, balancedClusters(40, 3), 2, 20) // 64 slots, 24 free
+	serial := mustSearch(t, pr, NewTabu(), 21)
+	par := NewTabu()
+	par.Parallel = true
+	parallel := mustSearch(t, pr, par, 21)
+	if serial.BestCost != parallel.BestCost || serial.Evaluations != parallel.Evaluations ||
+		serial.Iterations != parallel.Iterations {
+		t.Fatalf("parallel %+v != serial %+v", parallel, serial)
 	}
-	if plain.BestCost != withCtx.BestCost || plain.Evaluations != withCtx.Evaluations ||
-		plain.Iterations != withCtx.Iterations {
-		t.Fatalf("TabuContext diverged from Tabu: %+v vs %+v", withCtx, plain)
+	for p, h := range serial.Best.HostOf {
+		if parallel.Best.HostOf[p] != h {
+			t.Fatalf("process %d: parallel host %d, serial host %d", p, parallel.Best.HostOf[p], h)
+		}
 	}
 }

@@ -6,36 +6,9 @@ import (
 	"math"
 	"math/rand"
 
-	"commsched/internal/obs"
+	"commsched/internal/mapping"
+	"commsched/internal/search"
 )
-
-// TabuOptions parameterizes the process-level Tabu search; zero values
-// select the paper-aligned defaults (10 restarts, 40 iterations, repeat
-// limit 3, tenure 4). Iteration counts are higher than the switch-level
-// searcher's because the move space (process swaps + relocations) is
-// larger.
-type TabuOptions struct {
-	Restarts      int
-	MaxIterations int
-	RepeatLimit   int
-	Tenure        int
-}
-
-func (o TabuOptions) withDefaults() TabuOptions {
-	if o.Restarts == 0 {
-		o.Restarts = 10
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 40
-	}
-	if o.RepeatLimit == 0 {
-		o.RepeatLimit = 3
-	}
-	if o.Tenure == 0 {
-		o.Tenure = 4
-	}
-	return o
-}
 
 // Result is the outcome of a process-level search.
 type Result struct {
@@ -43,144 +16,97 @@ type Result struct {
 	Best *Assignment
 	// BestCost is its objective value.
 	BestCost float64
-	// Evaluations counts candidate move evaluations.
+	// Evaluations counts the candidate swaps of search.Tabu's full
+	// neighbourhood scans: every pair of slots on different hosts,
+	// including pairs that involve free slots.
 	Evaluations int
 	// Iterations counts applied moves.
 	Iterations int
 }
 
-const epsilon = 1e-9
-
-// Tabu runs the paper's Tabu procedure over the process-level move space:
-// the best swap of two processes or relocation of one process to a free
-// slot; least-bad uphill move with tabu tenure at local minima; random
-// restarts. It is TabuContext without cancellation.
-func Tabu(pr *Problem, opts TabuOptions, rng *rand.Rand) *Result {
-	res, _ := TabuContext(context.Background(), pr, opts, rng)
-	return res
+// NewTabu returns the process-level search parameters: the paper's
+// procedure (repeat limit 3, tenure 4, 10 restarts) with 40 iterations
+// per restart instead of 20, because the slot neighbourhood is larger
+// than the switch-level one.
+func NewTabu() *search.Tabu {
+	return &search.Tabu{Restarts: 10, MaxIterations: 40, RepeatLimit: 3, Tenure: 4}
 }
 
-// TabuContext is Tabu with cooperative cancellation: the context is
-// checked every iteration, and a cancelled search returns the best
-// placement found so far alongside an error wrapping ctx.Err() —
-// matching the cancellation contract of every switch-level searcher.
-// A nil ctx means context.Background.
-func TabuContext(ctx context.Context, pr *Problem, opts TabuOptions, rng *rand.Rand) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// Search runs t over the problem's slot partition (see slots) and
+// returns the best placement. Cancellation, tracing and the identical
+// serial and parallel results are search.Tabu's; a nil ctx means
+// context.Background.
+func Search(ctx context.Context, pr *Problem, t *search.Tabu, rng *rand.Rand) (*Result, error) {
+	res, err := t.SearchObjective(ctx, slots{pr}, pr.slotSpec(), rng)
+	if err != nil {
+		return nil, fmt.Errorf("procsched: %w", err)
 	}
-	opts = opts.withDefaults()
-	sp, ctx := obs.StartSpanCtx(ctx, "procsched.tabu",
-		obs.F("restarts", opts.Restarts), obs.F("max_iterations", opts.MaxIterations))
-	res := &Result{}
-	for restart := 0; restart < opts.Restarts; restart++ {
-		a := pr.RandomAssignment(rng)
-		cur := pr.Cost(a)
-		consider(res, a, cur)
-
-		tabu := map[moveKey]int{}
-		var localMinima []float64
-
-		for iter := 0; iter < opts.MaxIterations; iter++ {
-			if err := ctx.Err(); err != nil {
-				sp.End(obs.F("cancelled", true))
-				return res, fmt.Errorf("procsched: tabu cancelled at restart %d iteration %d: %w", restart, iter, err)
-			}
-			mv, delta, evals, found := bestMove(pr, a, tabu, iter, cur, res.BestCost)
-			res.Evaluations += evals
-			if !found {
-				break
-			}
-			if delta >= -epsilon {
-				repeats := 1
-				for _, m := range localMinima {
-					if math.Abs(m-cur) <= epsilon*(1+math.Abs(cur)) {
-						repeats++
-					}
-				}
-				localMinima = append(localMinima, cur)
-				if repeats >= opts.RepeatLimit {
-					break
-				}
-				tabu[mv.key()] = iter + 1 + opts.Tenure
-			}
-			mv.apply(pr, a)
-			cur += delta
-			res.Iterations++
-			consider(res, a, cur)
-		}
+	hostOf := make([]int, pr.Processes())
+	for p := range hostOf {
+		hostOf[p] = res.Best.Cluster(p)
 	}
-	sp.End(obs.F("best_cost", res.BestCost), obs.F("evaluations", res.Evaluations), obs.F("iterations", res.Iterations))
-	return res, nil
+	best, err := pr.NewAssignment(hostOf)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Best: best, BestCost: res.BestIntraSum, Evaluations: res.Evaluations, Iterations: res.Iterations}, nil
 }
 
-func consider(res *Result, a *Assignment, cost float64) {
-	if res.Best == nil || cost < res.BestCost-epsilon {
-		res.Best = a.Clone()
-		res.BestCost = cost
+// slots is the search.Objective view of a Problem: a mapping.Partition
+// of Hosts()×SlotsPerHost slots into one cluster of SlotsPerHost per
+// host, where item p < Processes() is process p and every later item is
+// a free slot that carries no traffic. Swapping processes and moving a
+// process to a free slot are then both swaps.
+type slots struct{ pr *Problem }
+
+// slotSpec is the slot partition's shape: one cluster of SlotsPerHost
+// slots per host.
+func (pr *Problem) slotSpec() search.Spec {
+	sizes := make([]int, pr.Net.Hosts())
+	for h := range sizes {
+		sizes[h] = pr.SlotsPerHost
 	}
+	return search.Spec{Sizes: sizes}
 }
 
-// move is either a swap (q >= 0) or a relocation of p to host (q < 0).
-type move struct {
-	p, q, host int
-}
+// IntraSum implements search.Objective.
+func (o slots) IntraSum(part *mapping.Partition) float64 { return o.pr.cost(part.Cluster) }
 
-type moveKey struct{ a, b, host int }
-
-func (m move) key() moveKey {
-	if m.q >= 0 {
-		a, b := m.p, m.q
-		if a > b {
-			a, b = b, a
-		}
-		return moveKey{a, b, -1}
-	}
-	return moveKey{m.p, -1, m.host}
-}
-
-func (m move) apply(pr *Problem, a *Assignment) {
-	if m.q >= 0 {
-		a.SwapProcesses(m.p, m.q)
-		return
-	}
-	a.MoveProcess(m.p, m.host, pr.SlotsPerHost)
-}
-
-// bestMove scans all process swaps and all relocations to hosts with free
-// slots, returning the best non-tabu move (aspiration: tabu moves that
-// would beat the incumbent are admissible).
-func bestMove(pr *Problem, a *Assignment, tabu map[moveKey]int, iter int, cur, globalBest float64) (move, float64, int, bool) {
-	best := move{}
-	bestDelta := math.Inf(1)
-	evals := 0
-	found := false
-	admit := func(m move, d float64) {
-		if until, isTabu := tabu[m.key()]; isTabu && iter < until {
-			if cur+d >= globalBest-epsilon {
-				return
-			}
-		}
-		if d < bestDelta {
-			best, bestDelta, found = m, d, true
-		}
-	}
+// SwapDelta implements search.Objective in O(Processes()). Swapping two
+// free slots is not a move: it returns +Inf, which search.Tabu never
+// selects.
+func (o slots) SwapDelta(part *mapping.Partition, u, v int) float64 {
+	pr := o.pr
 	n := pr.Processes()
-	for p := 0; p < n; p++ {
-		for q := p + 1; q < n; q++ {
-			if a.HostOf[p] == a.HostOf[q] {
-				continue
-			}
-			evals++
-			admit(move{p: p, q: q, host: -1}, pr.SwapDelta(a, p, q))
+	if u >= n {
+		u, v = v, u
+	}
+	if u >= n {
+		return math.Inf(1)
+	}
+	cu, cv := pr.ClusterOf[u], -1 // a free slot belongs to no cluster
+	if v < n {
+		cv = pr.ClusterOf[v]
+	}
+	// Hosts are partition labels, already in [0,Hosts()), so the switch
+	// is a plain division rather than the range-checked HostSwitch.
+	hps := pr.Net.HostsPerSwitch()
+	su, sv := part.Cluster(u)/hps, part.Cluster(v)/hps
+	if su == sv || cu == cv {
+		return 0 // same switch, or same cluster: distances unchanged
+	}
+	rowU, rowV := pr.t2[su], pr.t2[sv]
+	delta := 0.0
+	for r, c := range pr.ClusterOf {
+		if (c != cu && c != cv) || r == u || r == v {
+			continue
 		}
-		for h := 0; h < pr.Net.Hosts(); h++ {
-			if h == a.HostOf[p] || a.Load(h) >= pr.SlotsPerHost {
-				continue
-			}
-			evals++
-			admit(move{p: p, q: -1, host: h}, pr.MoveDelta(a, p, h))
+		sr := part.Cluster(r) / hps
+		if c == cu {
+			delta += rowV[sr] - rowU[sr]
+		} else {
+			delta += rowU[sr] - rowV[sr]
 		}
 	}
-	return best, bestDelta, evals, found
+	return delta
 }

@@ -110,6 +110,30 @@ type Searcher interface {
 	Search(ctx context.Context, e *quality.Evaluator, spec Spec, rng *rand.Rand) (*Result, error)
 }
 
+// ByName returns a fresh searcher for a heuristic name as commands and
+// job specs spell it: tabu, greedy, sa, ga, gsa, random (1000 samples)
+// or exhaustive.
+func ByName(name string) (Searcher, error) {
+	switch name {
+	case "tabu":
+		return NewTabu(), nil
+	case "greedy":
+		return NewGreedy(), nil
+	case "sa":
+		return NewAnneal(), nil
+	case "ga":
+		return NewGenetic(), nil
+	case "gsa":
+		return NewGSA(), nil
+	case "random":
+		return &RandomSample{Samples: 1000}, nil
+	case "exhaustive":
+		return NewExhaustive(), nil
+	default:
+		return nil, fmt.Errorf("search: unknown heuristic %q", name)
+	}
+}
+
 // orBackground normalizes a nil context so searcher internals can call
 // ctx.Err() unconditionally.
 func orBackground(ctx context.Context) context.Context {

@@ -107,6 +107,24 @@ func allSearchers() []Searcher {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"tabu": "tabu", "greedy": "greedy", "sa": "simulated-annealing", "ga": "genetic",
+		"gsa": "genetic-simulated-annealing", "random": "random", "exhaustive": "exhaustive",
+	} {
+		s, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if s.Name() != want {
+			t.Errorf("ByName(%q).Name() = %q, want %q", name, s.Name(), want)
+		}
+	}
+	if _, err := ByName("bogus"); err == nil {
+		t.Fatal("unknown name accepted")
+	}
+}
+
 func TestAllSearchersFindBlockOptimumSmall(t *testing.T) {
 	// 8 switches, 2 blocks — tiny enough that every heuristic except the
 	// single random draw must find the planted optimum.

@@ -71,31 +71,17 @@ func evaluateAssign(sys *core.System, assign []int, m int) (EvaluateResult, erro
 	return EvaluateResult{FG: q.FG, DG: q.DG, Cc: q.Cc}, nil
 }
 
-// pickSearcher maps a spec's heuristic name onto a searcher. Exhaustive
-// search is only admitted on toy networks; its cost is superexponential
-// and this is an online service.
+// pickSearcher applies the service's policy on top of search.ByName: an
+// empty name means tabu, and exhaustive search is only admitted on toy
+// networks; its cost is superexponential and this is an online service.
 func pickSearcher(name string, switches int) (search.Searcher, error) {
-	switch name {
-	case "", "tabu":
-		return search.NewTabu(), nil
-	case "greedy":
-		return search.NewGreedy(), nil
-	case "sa":
-		return search.NewAnneal(), nil
-	case "ga":
-		return search.NewGenetic(), nil
-	case "gsa":
-		return search.NewGSA(), nil
-	case "random":
-		return &search.RandomSample{Samples: 1000}, nil
-	case "exhaustive":
-		if switches > 10 {
-			return nil, fmt.Errorf("exhaustive search refused for %d switches (cap 10)", switches)
-		}
-		return search.NewExhaustive(), nil
-	default:
-		return nil, fmt.Errorf("unknown heuristic %q", name)
+	switch {
+	case name == "":
+		name = "tabu"
+	case name == "exhaustive" && switches > 10:
+		return nil, fmt.Errorf("exhaustive search refused for %d switches (cap 10)", switches)
 	}
+	return search.ByName(name)
 }
 
 // jobIdentity pins a per-job checkpoint directory to the exact job: the

@@ -12,6 +12,7 @@
 package strategy
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -196,7 +197,10 @@ func (s *System) Schedule(apps []Application, seed int64) (*Placement, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := procsched.Tabu(pr, procsched.TabuOptions{}, rand.New(rand.NewSource(seed)))
+		res, err := procsched.Search(context.TODO(), pr, procsched.NewTabu(), rand.New(rand.NewSource(seed)))
+		if err != nil {
+			return nil, err
+		}
 		pl.HostOf = res.Best.HostOf
 		pl.Scheduler = "communication-aware-tabu"
 		return pl, nil

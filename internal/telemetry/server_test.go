@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -191,6 +192,22 @@ func TestServerStartClose(t *testing.T) {
 	}
 	if _, err := http.Get(fmt.Sprintf("http://%s/healthz", addr)); err == nil {
 		t.Error("listener still accepting connections after Close")
+	}
+}
+
+// TestFlagsFillOptions pins the flag names the commands share (CI's
+// smoke jobs pass them) and the stderr banner Flags installs.
+func TestFlagsFillOptions(t *testing.T) {
+	opts := Flags()
+	args := []string{"-metrics", "m.jsonl", "-cpuprofile", "cpu.out", "-memprofile", "mem.out",
+		"-serve", ":0", "-trace", "trace.json"}
+	if err := flag.CommandLine.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	want := Options{Serve: ":0", Trace: "trace.json", Metrics: "m.jsonl",
+		CPUProfile: "cpu.out", MemProfile: "mem.out", Banner: os.Stderr}
+	if *opts != want {
+		t.Fatalf("Flags parsed %+v, want %+v", *opts, want)
 	}
 }
 

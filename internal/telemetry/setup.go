@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"flag"
 	"fmt"
 	"io"
+	"os"
 
 	"commsched/internal/obs"
 )
@@ -19,8 +21,21 @@ type Options struct {
 	// CPUProfile / MemProfile write pprof profiles.
 	CPUProfile, MemProfile string
 	// Banner, when non-nil, receives the "serving on ..." line so users
-	// of -serve :0 learn the bound port (commands pass os.Stderr).
+	// of -serve :0 learn the bound port (Flags sets os.Stderr).
 	Banner io.Writer
+}
+
+// Flags registers -metrics, -cpuprofile, -memprofile, -serve and -trace
+// on the default FlagSet and returns the destination Options, with the
+// serve banner going to standard error.
+func Flags() *Options {
+	opts := &Options{Banner: os.Stderr}
+	flag.StringVar(&opts.Metrics, "metrics", "", "write an observability trace (JSON lines) to this file")
+	flag.StringVar(&opts.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
+	flag.StringVar(&opts.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
+	flag.StringVar(&opts.Serve, "serve", "", "serve live telemetry (/metrics /events /runs /healthz /debug/pprof) on this address while running, e.g. :8080 or :0")
+	flag.StringVar(&opts.Trace, "trace", "", "record a Chrome trace-event JSON file (view in Perfetto / chrome://tracing)")
+	return opts
 }
 
 // Service is the running telemetry of one command invocation.
