@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -37,9 +38,28 @@ func TestMain(m *testing.M) {
 
 var daemonBanner = regexp.MustCompile(`commschedd: serving on http://([^\s]+)`)
 
+// syncBuffer collects a child process's output: os/exec's copy goroutine
+// writes it while the test polls it, so both go through one mutex.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 type daemon struct {
 	cmd  *exec.Cmd
-	log  *bytes.Buffer
+	log  *syncBuffer
 	addr string
 	done chan error
 }
@@ -48,7 +68,7 @@ type daemon struct {
 // free port and waits until /readyz answers 200.
 func startDaemon(t *testing.T, stateDir string) *daemon {
 	t.Helper()
-	d := &daemon{cmd: exec.Command(os.Args[0]), log: &bytes.Buffer{}, done: make(chan error, 1)}
+	d := &daemon{cmd: exec.Command(os.Args[0]), log: &syncBuffer{}, done: make(chan error, 1)}
 	d.cmd.Env = append(os.Environ(),
 		"COMMSCHEDD_CHILD=1",
 		"COMMSCHEDD_CHILD_STATE="+stateDir,

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,6 +47,25 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// syncBuffer collects a child process's output: os/exec's copy goroutine
+// writes it while the test polls it, so both go through one mutex.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // childCmd re-executes this test binary as a paperfigs run writing CSVs
@@ -86,7 +106,7 @@ func TestKillAndResumeBitIdenticalCSV(t *testing.T) {
 	// Interrupted run: SIGKILL as soon as the journal holds a record.
 	ckpt := filepath.Join(base, "ckpt")
 	first := childCmd(filepath.Join(base, "out1"), ckpt, false)
-	var firstLog bytes.Buffer
+	var firstLog syncBuffer
 	first.Stdout, first.Stderr = &firstLog, &firstLog
 	if err := first.Start(); err != nil {
 		t.Fatal(err)
@@ -130,7 +150,7 @@ poll:
 	// golden CSVs byte for byte.
 	outDir := filepath.Join(base, "out2")
 	resume := childCmd(outDir, ckpt, true)
-	var resumeLog bytes.Buffer
+	var resumeLog syncBuffer
 	resume.Stdout, resume.Stderr = &resumeLog, &resumeLog
 	if err := resume.Start(); err != nil {
 		t.Fatal(err)
@@ -169,7 +189,7 @@ poll:
 // then its /metrics endpoint until commsched_value{name="runstate.replayed"}
 // is nonzero. Returns the matching metric line, or exited=true if the
 // child finished first.
-func scrapeReplayedGauge(t *testing.T, log *bytes.Buffer, done chan error) (string, bool) {
+func scrapeReplayedGauge(t *testing.T, log *syncBuffer, done chan error) (string, bool) {
 	t.Helper()
 	gauge := regexp.MustCompile(`commsched_value\{name="runstate\.replayed"\} ([1-9][0-9.e+]*)`)
 	deadline := time.After(2 * time.Minute)

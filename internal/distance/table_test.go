@@ -141,6 +141,35 @@ func TestComputeDeterministicUnderParallelism(t *testing.T) {
 	}
 }
 
+func TestComputeCGPathReproducible(t *testing.T) {
+	// Above cgThreshold every pair is a conjugate-gradient solve; two
+	// calls on one network must still agree bit for bit.
+	net, err := topology.RandomIrregular(96, 3, rand.New(rand.NewSource(7)), topology.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ud := updown(t, net)
+	a, err := Compute(net, ud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Compute(net, ud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := 0
+	for i := 0; i < 96; i++ {
+		for j := 0; j < 96; j++ {
+			if a.At(i, j) != b.At(i, j) {
+				differ++
+			}
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("two Compute calls differ in %d of %d cells", differ, 96*96)
+	}
+}
+
 func TestComputeCGPathMatchesDense(t *testing.T) {
 	// Force both solver paths on the same mid-size network and compare.
 	net, err := topology.RandomIrregular(30, 3, rand.New(rand.NewSource(41)), topology.Config{})

@@ -3,6 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // SparseSymmetric is a symmetric matrix in compressed adjacency form,
@@ -41,10 +42,16 @@ func NewSparseLaplacian(n int, edges []WeightedEdge) *SparseSymmetric {
 			acc[p[0]][int32(p[1])] -= e.Weight
 		}
 	}
+	// Store each row in column order: MulVec sums in storage order, so a
+	// map-ordered row would change the last bits of every solve from one
+	// call to the next.
 	for i := 0; i < n; i++ {
-		for j, w := range acc[i] {
+		for j := range acc[i] {
 			s.idx[i] = append(s.idx[i], j)
-			s.val[i] = append(s.val[i], w)
+		}
+		slices.Sort(s.idx[i])
+		for _, j := range s.idx[i] {
+			s.val[i] = append(s.val[i], acc[i][j])
 		}
 	}
 	return s

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -219,6 +220,7 @@ func mergeResult(dst, src *Result) {
 type restartStats struct {
 	iterations  int     // accepted moves this restart
 	evaluations int     // candidate evaluations this restart
+	exact       int     // candidates priced by Objective.SwapDelta
 	tabuHits    int     // candidate moves rejected by the tabu list
 	aspirations int     // tabu moves admitted by the aspiration criterion
 	improving   int     // accepted moves with negative delta
@@ -236,6 +238,7 @@ func (t *Tabu) runRestart(ctx context.Context, obj Objective, p *mapping.Partiti
 		record(p, restart)
 	}
 
+	tb := newSwapTable(obj, p)
 	// tabu[key] = first iteration at which the move is allowed again.
 	tabu := map[[2]int]int{}
 	localMinima := []float64{} // values of local minima reached this restart
@@ -247,7 +250,7 @@ func (t *Tabu) runRestart(ctx context.Context, obj Objective, p *mapping.Partiti
 			return fmt.Errorf("search: tabu cancelled: %w", err)
 		}
 		*globalIter++
-		bestU, bestV, bestDelta, found := t.bestMove(obj, p, tabu, iter, cur, res.BestIntraSum, &stats)
+		bestU, bestV, bestDelta, found := t.bestMove(obj, &tb, p, tabu, iter, cur, res.BestIntraSum, &stats)
 		sweep := evalsPerSweep(p)
 		res.Evaluations += sweep
 		stats.evaluations += sweep
@@ -270,6 +273,7 @@ func (t *Tabu) runRestart(ctx context.Context, obj Objective, p *mapping.Partiti
 			stats.improving++
 			stats.improvement -= bestDelta
 		}
+		tb.swap(bestU, bestV, p.Cluster(bestU), p.Cluster(bestV))
 		p.Swap(bestU, bestV)
 		cur += bestDelta
 		res.Iterations++
@@ -289,6 +293,7 @@ func (t *Tabu) runRestart(ctx context.Context, obj Objective, p *mapping.Partiti
 			obs.F("restart", restart),
 			obs.F("iterations", stats.iterations),
 			obs.F("evaluations", stats.evaluations),
+			obs.F("exact_evaluations", stats.exact),
 			obs.F("tabu_hits", stats.tabuHits),
 			obs.F("tabu_hit_rate", tabuRate),
 			obs.F("aspirations", stats.aspirations),
@@ -360,14 +365,38 @@ func (t *Tabu) searchParallel(ctx context.Context, obj Objective, spec Spec, rng
 // with the smallest delta. Tabu moves are admissible when they would beat
 // the global best (aspiration criterion). stats accumulates tabu-hit and
 // aspiration counts for the restart's observability record.
-func (t *Tabu) bestMove(e Objective, p *mapping.Partition, tabu map[[2]int]int, iter int, cur, globalBest float64, stats *restartStats) (u, v int, delta float64, found bool) {
+//
+// With a swap table (the paper's objective), a candidate that is not tabu
+// and whose table price cannot beat the best delta so far is skipped: the
+// exact comparison below would not have taken it either. Every other
+// candidate is priced by SwapDelta as without the table, so the chosen
+// move and the counters do not depend on the screen.
+func (t *Tabu) bestMove(e Objective, tb *swapTable, p *mapping.Partition, tabu map[[2]int]int, iter int, cur, globalBest float64, stats *restartStats) (u, v int, delta float64, found bool) {
 	n := p.N()
 	delta = math.Inf(1)
+	// The moves forbidden this iteration, at most Tenure of them (the
+	// buffer keeps usual tenures off the heap): a screened-out candidate
+	// must still be priced when it is one of them, for the tabu counters.
+	var activeBuf [8][2]int
+	active := activeBuf[:0]
+	if tb.g != nil {
+		for k, until := range tabu {
+			if iter < until {
+				active = append(active, k)
+			}
+		}
+	}
 	for a := 0; a < n; a++ {
+		ca := p.Cluster(a)
 		for b := a + 1; b < n; b++ {
-			if p.Cluster(a) == p.Cluster(b) {
+			cb := p.Cluster(b)
+			if ca == cb {
 				continue
 			}
+			if tb.g != nil && tb.floor(a, b, ca, cb) >= delta && !slices.Contains(active, [2]int{a, b}) {
+				continue
+			}
+			stats.exact++
 			d := e.SwapDelta(p, a, b)
 			if until, isTabu := tabu[moveKey(a, b)]; isTabu && iter < until {
 				// Aspiration: allow a tabu move only if it improves on the
