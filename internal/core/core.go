@@ -90,28 +90,32 @@ func NewSystem(net *topology.Network, opts Options) (*System, error) {
 		obs.F("switches", net.Switches()),
 		obs.F("hosts", net.Hosts()),
 		obs.F("metric", int(opts.Metric)))
+	fail := func(err error) (*System, error) {
+		sp.End(obs.F("err", true))
+		return nil, err
+	}
 	root := -1
 	if opts.Root != nil {
 		root = *opts.Root
 		if root < 0 || root >= net.Switches() {
-			return nil, fmt.Errorf("core: root %d out of range [0,%d)", root, net.Switches())
+			return fail(fmt.Errorf("core: root %d out of range [0,%d)", root, net.Switches()))
 		}
 	}
 	rt, err := routing.NewUpDown(net, root)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	var tab *distance.Table
 	switch opts.Metric {
 	case MetricResistance:
 		tab, err = distance.Compute(net, rt)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 	case MetricHops:
 		tab = distance.HopTable(net, rt)
 	default:
-		return nil, fmt.Errorf("core: unknown metric %d", opts.Metric)
+		return fail(fmt.Errorf("core: unknown metric %d", opts.Metric))
 	}
 	sp.End(obs.F("root", rt.Root()))
 	return &System{net: net, rt: rt, tab: tab, eval: quality.NewEvaluator(tab), metric: opts.Metric}, nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"commsched/internal/mapping"
+	"commsched/internal/obs"
 	"commsched/internal/search"
 	"commsched/internal/simnet"
 	"commsched/internal/topology"
@@ -65,6 +66,32 @@ func TestNewSystemExplicitRoot(t *testing.T) {
 	neg := -2
 	if _, err := NewSystem(net16(t), Options{Root: &neg}); err == nil {
 		t.Fatal("negative explicit root accepted")
+	}
+}
+
+func TestFailedNewSystemEndsSpan(t *testing.T) {
+	mem := &obs.Memory{}
+	obs.SetSink(mem)
+	defer obs.SetSink(nil)
+	bad := 99
+	if _, err := NewSystem(net16(t), Options{Root: &bad}); err == nil {
+		t.Fatal("out-of-range root accepted")
+	}
+	if _, err := NewSystem(net16(t), Options{Metric: Metric(42)}); err == nil {
+		t.Fatal("unknown metric accepted")
+	}
+	spans := mem.ByName("core.characterize")
+	if len(spans) != 2 {
+		t.Fatalf("got %d core.characterize records for two failed calls, want 2", len(spans))
+	}
+	for _, sp := range spans {
+		failed := false
+		for _, f := range sp.Fields {
+			failed = failed || f.Key == "err" && f.Value == true
+		}
+		if !failed {
+			t.Fatalf("failed core.characterize span lacks err=true: %+v", sp.Fields)
+		}
 	}
 }
 

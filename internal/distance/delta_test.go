@@ -1,11 +1,14 @@
 package distance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"commsched/internal/obs"
 	"commsched/internal/routing"
 	"commsched/internal/topology"
 )
@@ -34,6 +37,119 @@ func TestComputeRecoversWorkerPanic(t *testing.T) {
 	}
 }
 
+// withoutOneLink returns the network minus its first link whose removal
+// keeps it connected; switch IDs are unchanged.
+func withoutOneLink(t *testing.T, net *topology.Network) *topology.Network {
+	t.Helper()
+	for _, l := range net.Links() {
+		var keep []topology.Link
+		for _, k := range net.Links() {
+			if k != l {
+				keep = append(keep, k)
+			}
+		}
+		cand, err := topology.New("degraded", net.Switches(), keep, topology.Config{
+			Ports: net.Ports(), HostsPerSwitch: net.HostsPerSwitch(),
+		})
+		if err == nil && cand.Connected() {
+			return cand
+		}
+	}
+	t.Fatal("no removable link found")
+	return nil
+}
+
+// outOfRangeProvider appends to every route a link whose far endpoint,
+// n+3, is not a switch of the n-switch network.
+type outOfRangeProvider struct {
+	routing.PathProvider
+	n int
+}
+
+func (p outOfRangeProvider) PathLinks(s, t int) []topology.Link {
+	return append(slices.Clip(p.PathProvider.PathLinks(s, t)), topology.Link{A: s, B: p.n + 3})
+}
+
+func TestComputeRejectsOutOfRangeRouteLink(t *testing.T) {
+	for _, n := range []int{16, 80} {
+		net, err := topology.RandomIrregular(n, 3, rand.New(rand.NewSource(1)), topology.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ud, err := routing.NewUpDown(net, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := Compute(net, ud)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := outOfRangeProvider{ud, n}
+		check := func(call string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("n=%d: %s accepted a route link to switch %d", n, call, n+3)
+			}
+			msg := err.Error()
+			if !strings.HasPrefix(msg, "distance: route link ") || strings.Contains(msg, "panic") ||
+				!strings.Contains(msg, fmt.Sprintf("-%d for pair (", n+3)) ||
+				!strings.Contains(msg, fmt.Sprintf("outside [0,%d)", n)) {
+				t.Fatalf("n=%d: %s error does not name the link and the pair: %v", n, call, err)
+			}
+		}
+		_, err = Compute(net, bad)
+		check("Compute", err)
+		_, _, err = ComputeDelta(net, bad, ud, old)
+		check("ComputeDelta", err)
+	}
+}
+
+// spanErr returns the err field of the only span with the given name.
+func spanErr(t *testing.T, mem *obs.Memory, name string) any {
+	t.Helper()
+	spans := mem.ByName(name)
+	if len(spans) != 1 || spans[0].Kind != "span" {
+		t.Fatalf("%s: got %d records, want exactly one span", name, len(spans))
+	}
+	for _, f := range spans[0].Fields {
+		if f.Key == "err" {
+			return f.Value
+		}
+	}
+	return nil
+}
+
+func TestFailedComputeEndsSpan(t *testing.T) {
+	net, err := topology.RandomIrregular(16, 3, rand.New(rand.NewSource(1)), topology.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ud, err := routing.NewUpDown(net, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := Compute(net, ud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := &obs.Memory{}
+	obs.SetSink(mem)
+	defer obs.SetSink(nil)
+	bad := outOfRangeProvider{ud, 16}
+	if _, err := Compute(net, bad); err == nil {
+		t.Fatal("Compute accepted a bad route link")
+	}
+	if got := spanErr(t, mem, "distance.compute"); got != true {
+		t.Fatalf("distance.compute span err = %v, want true", got)
+	}
+	if _, _, err := ComputeDelta(net, bad, ud, old); err == nil {
+		t.Fatal("ComputeDelta accepted a bad route link")
+	}
+	if got := spanErr(t, mem, "distance.compute_delta"); got != true {
+		t.Fatalf("distance.compute_delta span err = %v, want true", got)
+	}
+}
+
 func TestComputeDeltaMatchesFullRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(2000))
 	net, err := topology.RandomIrregular(16, 3, rng, topology.Config{})
@@ -50,25 +166,7 @@ func TestComputeDeltaMatchesFullRecompute(t *testing.T) {
 	}
 
 	// Remove one non-bridge link (keep IDs stable) and re-derive routing.
-	var degraded *topology.Network
-	for _, l := range net.Links() {
-		var keep []topology.Link
-		for _, k := range net.Links() {
-			if k != l {
-				keep = append(keep, k)
-			}
-		}
-		cand, err := topology.New("degraded", net.Switches(), keep, topology.Config{
-			Ports: net.Ports(), HostsPerSwitch: net.HostsPerSwitch(),
-		})
-		if err == nil && cand.Connected() {
-			degraded = cand
-			break
-		}
-	}
-	if degraded == nil {
-		t.Fatal("no removable link found")
-	}
+	degraded := withoutOneLink(t, net)
 	ud2, err := routing.NewUpDown(degraded, -1)
 	if err != nil {
 		t.Fatal(err)

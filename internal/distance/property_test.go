@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"commsched/internal/fault"
+	"commsched/internal/linalg"
 	"commsched/internal/routing"
 	"commsched/internal/topology"
 )
@@ -199,6 +200,108 @@ func TestSumSquaresMatchesQuadraticMean(t *testing.T) {
 		pairs := float64(n * (n - 1) / 2)
 		if got, want := tab.SumSquares(), tab.QuadraticMean()*pairs; math.Abs(got-want) > propEps {
 			t.Fatalf("seed %d: SumSquares %v vs QuadraticMean*pairs %v", seed, got, want)
+		}
+	}
+}
+
+// globalSolveMismatches counts the cells of tab that differ, in any bit,
+// from linalg.EffectiveResistance solved over the whole network's index
+// space on the provider's route links, and describes the first one.
+func globalSolveMismatches(t *testing.T, net *topology.Network, p routing.PathProvider, tab *Table) (int, string) {
+	t.Helper()
+	n := net.Switches()
+	differ, first := 0, ""
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			links := p.PathLinks(i, j)
+			edges := make([]linalg.WeightedEdge, len(links))
+			for k, l := range links {
+				edges[k] = linalg.WeightedEdge{U: l.A, V: l.B, Weight: 1}
+			}
+			want, err := linalg.EffectiveResistance(n, edges, i, j)
+			if err != nil {
+				t.Fatalf("global solve (%d,%d): %v", i, j, err)
+			}
+			if tab.At(i, j) != want || tab.At(j, i) != want {
+				if differ == 0 {
+					first = fmt.Sprintf("T[%d][%d] = %v, global solve %v", i, j, tab.At(i, j), want)
+				}
+				differ++
+			}
+		}
+	}
+	return 2 * differ, first
+}
+
+// TestComputeMatchesGlobalSolve: solving each pair over its own route
+// subgraph, renumbered in ascending switch order, builds the same grounded
+// system as the solve over global indices, so every cell of Compute — and
+// of ComputeDelta after a link failure — equals the global solve bit for
+// bit, on irregular and regular topologies under both path suppliers.
+func TestComputeMatchesGlobalSolve(t *testing.T) {
+	type instance struct {
+		name string
+		net  *topology.Network
+	}
+	must := func(net *topology.Network, err error) *topology.Network {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	var nets []instance
+	for _, n := range []int{16, 32, 64, 96, 128} {
+		for seed := int64(1); seed <= 3; seed++ {
+			net := must(topology.RandomIrregular(n, 3, rand.New(rand.NewSource(seed)), topology.Config{}))
+			nets = append(nets, instance{fmt.Sprintf("irregular%d/seed%d", n, seed), net})
+		}
+	}
+	nets = append(nets,
+		instance{"ring16", must(topology.Ring(16, topology.Config{}))},
+		instance{"torus8x8", must(topology.Torus2D(8, 8, topology.Config{}))},
+		instance{"hypercube6", must(topology.Hypercube(6, topology.Config{Ports: 10}))},
+		instance{"rings4x6", must(topology.InterconnectedRings(4, 6, 1, topology.Config{}))},
+	)
+	providers := []struct {
+		name string
+		of   func(*topology.Network) (routing.PathProvider, error)
+	}{
+		{"updown", func(net *topology.Network) (routing.PathProvider, error) { return routing.NewUpDown(net, -1) }},
+		{"shortest", func(net *topology.Network) (routing.PathProvider, error) { return routing.NewShortestPath(net), nil }},
+	}
+	for _, in := range nets {
+		for _, pv := range providers {
+			t.Run(in.name+"/"+pv.name, func(t *testing.T) {
+				t.Parallel()
+				p, err := pv.of(in.net)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab, err := Compute(in.net, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := in.net.Switches()
+				if differ, first := globalSolveMismatches(t, in.net, p, tab); differ > 0 {
+					t.Fatalf("Compute: %d of %d cells differ from the global solve; first %s", differ, n*n, first)
+				}
+				degraded := withoutOneLink(t, in.net)
+				p2, err := pv.of(degraded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				delta, recomputed, err := ComputeDelta(degraded, p2, p, tab)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if recomputed == 0 {
+					t.Fatal("ComputeDelta re-solved no pair after a link failure")
+				}
+				if differ, first := globalSolveMismatches(t, degraded, p2, delta); differ > 0 {
+					t.Fatalf("ComputeDelta: %d of %d cells differ from the global solve; first %s", differ, n*n, first)
+				}
+			})
 		}
 	}
 }

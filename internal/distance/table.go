@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,6 +58,7 @@ func Compute(net *topology.Network, provider routing.PathProvider) (*Table, erro
 		return nil
 	})
 	if err != nil {
+		sp.End(obs.F("err", true))
 		return nil, err
 	}
 	sp.End()
@@ -98,6 +100,7 @@ func ComputeDelta(net *topology.Network, provider, oldProvider routing.PathProvi
 		return nil
 	})
 	if err != nil {
+		sp.End(obs.F("err", true))
 		return nil, 0, err
 	}
 	sp.End(obs.F("recomputed", int(recomputed.Load())), obs.F("reused", n*(n-1)/2-int(recomputed.Load())))
@@ -178,30 +181,37 @@ func forEachPair(n int, fn func(i, j int) error) error {
 	return nil
 }
 
-// cgThreshold selects the solver: networks above this switch count use
-// the sparse conjugate-gradient path (the dense Cholesky solve is cubic
-// in the subgraph size). Overridable in tests.
-var cgThreshold = 64
-
 // pairResistance computes one cell: the effective resistance between i and
-// j over the links of their shortest supplied routes.
+// j over the links of their shortest supplied routes. The resistor network
+// is solved over its own nodes only — the switches the links touch plus i
+// and j, renumbered in ascending switch order — so the cost follows the
+// route subgraph, not the network. The grounded system is the one the
+// global solve builds (same node order, same edge order), so the result
+// is bit-identical to linalg.EffectiveResistance over global indices.
 func pairResistance(net *topology.Network, links []topology.Link, i, j int) (float64, error) {
 	if len(links) == 0 {
 		return 0, fmt.Errorf("distance: no route between switches %d and %d", i, j)
 	}
+	n := net.Switches()
+	nodes := make([]int, 0, 2*len(links)+2)
+	nodes = append(nodes, i, j)
+	for _, l := range links {
+		if l.A < 0 || l.A >= n || l.B < 0 || l.B >= n {
+			return 0, fmt.Errorf("distance: route link %d-%d for pair (%d,%d) has an endpoint outside [0,%d)", l.A, l.B, i, j, n)
+		}
+		nodes = append(nodes, l.A, l.B)
+	}
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	local := func(s int) int {
+		k, _ := slices.BinarySearch(nodes, s)
+		return k
+	}
 	edges := make([]linalg.WeightedEdge, len(links))
 	for k, l := range links {
-		edges[k] = linalg.WeightedEdge{U: l.A, V: l.B, Weight: 1}
+		edges[k] = linalg.WeightedEdge{U: local(l.A), V: local(l.B), Weight: 1}
 	}
-	var (
-		r   float64
-		err error
-	)
-	if net.Switches() > cgThreshold {
-		r, err = linalg.EffectiveResistanceCG(net.Switches(), edges, i, j)
-	} else {
-		r, err = linalg.EffectiveResistance(net.Switches(), edges, i, j)
-	}
+	r, err := linalg.EffectiveResistance(len(nodes), edges, local(i), local(j))
 	if err != nil {
 		return 0, fmt.Errorf("distance: resistance between %d and %d: %w", i, j, err)
 	}

@@ -126,7 +126,7 @@ type JobSpec struct {
 // online request — resource exhaustion is an availability bug too.
 const (
 	// MaxSwitches bounds the topology size (the distance table is an
-	// O(n²) set of CG solves).
+	// O(n²) set of resistance solves).
 	MaxSwitches = 128
 	// MaxRates bounds the sweep ladder length.
 	MaxRates = 64
