@@ -150,6 +150,42 @@ func TestFailedComputeEndsSpan(t *testing.T) {
 	}
 }
 
+// TestComputeRecordsOneSpanPerTable: a table is one distance.compute or
+// distance.compute_delta span. Its pairs leave no par.item span and no
+// progress event, which every traced caller would pay for per pair.
+func TestComputeRecordsOneSpanPerTable(t *testing.T) {
+	net, err := topology.RandomIrregular(16, 3, rand.New(rand.NewSource(1)), topology.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ud, err := routing.NewUpDown(net, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := withoutOneLink(t, net)
+	ud2, err := routing.NewUpDown(degraded, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := &obs.Memory{}
+	obs.SetSink(mem)
+	defer obs.SetSink(nil)
+	old, err := Compute(net, ud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ComputeDelta(degraded, ud2, ud, old); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range mem.Records() {
+		got = append(got, r.Kind+" "+r.Name)
+	}
+	if want := []string{"span distance.compute", "span distance.compute_delta"}; !slices.Equal(got, want) {
+		t.Fatalf("records %v, want %v", got, want)
+	}
+}
+
 func TestComputeDeltaMatchesFullRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(2000))
 	net, err := topology.RandomIrregular(16, 3, rng, topology.Config{})

@@ -1,9 +1,13 @@
 package distance
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"commsched/internal/fault"
@@ -303,5 +307,54 @@ func TestComputeMatchesGlobalSolve(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestComputeBitsPinned pins every cell of the tables Compute builds:
+// a SHA-256 over the little-endian float64 bits of T[i][j], i<j in
+// row-major order, for seeded irregular networks of 16–128 switches
+// under up*/down* and then shortest-path routes. TestComputeMatchesGlobalSolve
+// compares against linalg's solve, so it cannot see the two drift
+// together; this digest can. It is checked with one worker, which
+// reuses per-worker scratch across the most pairs, and at the default.
+func TestComputeBitsPinned(t *testing.T) {
+	const want = "5602a3e7658c196ed20aecd04de96e1c9db0ac6694b8669c871953470a0170ae"
+	digest := func() string {
+		h := sha256.New()
+		var buf [8]byte
+		for _, n := range []int{16, 48, 96, 128} {
+			for seed := int64(1); seed <= 3; seed++ {
+				net, err := topology.RandomIrregular(n, 3, rand.New(rand.NewSource(seed)), topology.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ud, err := routing.NewUpDown(net, -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range []routing.PathProvider{ud, routing.NewShortestPath(net)} {
+					tab, err := Compute(net, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < n; i++ {
+						for j := i + 1; j < n; j++ {
+							binary.LittleEndian.PutUint64(buf[:], math.Float64bits(tab.At(i, j)))
+							h.Write(buf[:])
+						}
+					}
+				}
+			}
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	prev := runtime.GOMAXPROCS(1)
+	one := digest()
+	runtime.GOMAXPROCS(prev)
+	if one != want {
+		t.Errorf("GOMAXPROCS=1: table digest %s, want %s", one, want)
+	}
+	if got := digest(); got != want {
+		t.Errorf("GOMAXPROCS=%d: table digest %s, want %s", prev, got, want)
 	}
 }

@@ -15,17 +15,16 @@
 package distance
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"commsched/internal/linalg"
 	"commsched/internal/obs"
+	"commsched/internal/par"
 	"commsched/internal/routing"
 	"commsched/internal/topology"
 )
@@ -40,21 +39,24 @@ type Table struct {
 // Compute builds the table of equivalent distances for the network using
 // the shortest paths supplied by the given routing algorithm. The N(N−1)/2
 // effective-resistance solves are independent, so they are fanned out
-// across GOMAXPROCS workers; the result is deterministic regardless of
-// scheduling because each pair writes its own cells. A panic in a worker
-// (e.g. a path provider misbehaving on a degraded topology) is recovered
-// and surfaced as an error instead of crashing the process.
+// across par's local workers, each reusing its own scratch; the result is
+// deterministic regardless of scheduling because each pair writes its own
+// cells. A panic in a worker (e.g. a path provider misbehaving on a
+// degraded topology) is recovered and surfaced as an error instead of
+// crashing the process.
 func Compute(net *topology.Network, provider routing.PathProvider) (*Table, error) {
 	n := net.Switches()
 	sp := obs.StartSpan("distance.compute", obs.F("switches", n), obs.F("pairs", n*(n-1)/2))
 	t := newTable(n)
-	err := forEachPair(n, func(i, j int) error {
-		r, err := pairResistance(net, provider.PathLinks(i, j), i, j)
-		if err != nil {
-			return err
+	err := forEachRow(n, func(ps *pairSolver, i int) error {
+		for j := i + 1; j < n; j++ {
+			r, err := ps.resistance(provider.PathLinks(i, j), i, j)
+			if err != nil {
+				return err
+			}
+			t.d[i][j] = r
+			t.d[j][i] = r
 		}
-		t.d[i][j] = r
-		t.d[j][i] = r
 		return nil
 	})
 	if err != nil {
@@ -82,140 +84,131 @@ func ComputeDelta(net *topology.Network, provider, oldProvider routing.PathProvi
 	}
 	sp := obs.StartSpan("distance.compute_delta", obs.F("switches", n), obs.F("pairs", n*(n-1)/2))
 	t := newTable(n)
-	var recomputed atomic.Int64
-	err := forEachPair(n, func(i, j int) error {
-		links := provider.PathLinks(i, j)
-		if sameLinkSet(links, oldProvider.PathLinks(i, j)) {
-			t.d[i][j] = old.d[i][j]
-			t.d[j][i] = old.d[j][i]
-			return nil
+	rowRecomputed := make([]int, n) // written by row, summed after the loop
+	err := forEachRow(n, func(ps *pairSolver, i int) error {
+		for j := i + 1; j < n; j++ {
+			links := provider.PathLinks(i, j)
+			if sameLinkSet(links, oldProvider.PathLinks(i, j)) {
+				t.d[i][j] = old.d[i][j]
+				t.d[j][i] = old.d[j][i]
+				continue
+			}
+			rowRecomputed[i]++
+			r, err := ps.resistance(links, i, j)
+			if err != nil {
+				return err
+			}
+			t.d[i][j] = r
+			t.d[j][i] = r
 		}
-		recomputed.Add(1)
-		r, err := pairResistance(net, links, i, j)
-		if err != nil {
-			return err
-		}
-		t.d[i][j] = r
-		t.d[j][i] = r
 		return nil
 	})
 	if err != nil {
 		sp.End(obs.F("err", true))
 		return nil, 0, err
 	}
-	sp.End(obs.F("recomputed", int(recomputed.Load())), obs.F("reused", n*(n-1)/2-int(recomputed.Load())))
-	return t, int(recomputed.Load()), nil
+	recomputed := 0
+	for _, c := range rowRecomputed {
+		recomputed += c
+	}
+	sp.End(obs.F("recomputed", recomputed), obs.F("reused", n*(n-1)/2-recomputed))
+	return t, recomputed, nil
 }
 
-// sameLinkSet reports whether two canonical link slices contain the same
-// links, ignoring order.
+// sameLinkSet reports whether two link slices, each without repeats as
+// PathLinks returns them, contain the same links in any order. Route
+// link sets are small, so a scan beats building a set.
 func sameLinkSet(a, b []topology.Link) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	if len(a) == 0 {
-		return true
-	}
-	seen := make(map[topology.Link]bool, len(a))
-	for _, l := range a {
-		seen[l] = true
-	}
 	for _, l := range b {
-		if !seen[l] {
+		if !slices.Contains(a, l) {
 			return false
 		}
 	}
 	return true
 }
 
-// forEachPair fans fn out over all i<j pairs across GOMAXPROCS workers,
-// converting worker panics into errors and stopping early on the first
-// failure.
-func forEachPair(n int, fn func(i, j int) error) error {
-	type pair struct{ i, j int }
-	pairs := make([]pair, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg     sync.WaitGroup
-		next   atomic.Int64
-		failed atomic.Pointer[error]
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					err := fmt.Errorf("distance: worker panic: %v", r)
-					failed.CompareAndSwap(nil, &err)
-				}
-			}()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(pairs) || failed.Load() != nil {
-					return
-				}
-				p := pairs[k]
-				if err := fn(p.i, p.j); err != nil {
-					failed.CompareAndSwap(nil, &err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if errp := failed.Load(); errp != nil {
-		return *errp
-	}
-	return nil
+// forEachRow runs fn for every row i of the table's upper triangle — the
+// pairs (i, j), j > i — on par's local workers, each with its own
+// pairSolver. It passes context.TODO: Compute and ComputeDelta take no
+// context, so a table is never abandoned partway through.
+func forEachRow(n int, fn func(ps *pairSolver, i int) error) error {
+	newSolver := func() *pairSolver { return newPairSolver(n) }
+	return par.Local(context.TODO(), n-1, newSolver, func(_ context.Context, ps *pairSolver, i int) error {
+		return fn(ps, i)
+	})
 }
 
-// pairResistance computes one cell: the effective resistance between i and
-// j over the links of their shortest supplied routes. The resistor network
+// pairSolver is one worker's scratch for solving pairs: the resistance
+// solver, the pair's route-subgraph nodes and edges, and a dense
+// switch → local-index map. Nothing in it outlives a solve, so the worker
+// reuses it for every pair it takes.
+type pairSolver struct {
+	solver linalg.Solver
+	nodes  []int
+	edges  []linalg.WeightedEdge
+	local  []int // local[s] = index of switch s among nodes, −1 when absent
+}
+
+func newPairSolver(n int) *pairSolver {
+	ps := &pairSolver{local: make([]int, n)}
+	for s := range ps.local {
+		ps.local[s] = -1
+	}
+	return ps
+}
+
+// resistance computes one cell: the effective resistance between i and j
+// over the links of their shortest supplied routes. The resistor network
 // is solved over its own nodes only — the switches the links touch plus i
 // and j, renumbered in ascending switch order — so the cost follows the
 // route subgraph, not the network. The grounded system is the one the
-// global solve builds (same node order, same edge order), so the result
-// is bit-identical to linalg.EffectiveResistance over global indices.
-func pairResistance(net *topology.Network, links []topology.Link, i, j int) (float64, error) {
+// global solve builds (same node order; the Laplacian's entries are sums
+// of unit conductances, exact in any link order), so the result is
+// bit-identical to linalg.EffectiveResistance over global indices.
+func (ps *pairSolver) resistance(links []topology.Link, i, j int) (float64, error) {
 	if len(links) == 0 {
 		return 0, fmt.Errorf("distance: no route between switches %d and %d", i, j)
 	}
-	n := net.Switches()
-	nodes := make([]int, 0, 2*len(links)+2)
-	nodes = append(nodes, i, j)
+	n := len(ps.local)
 	for _, l := range links {
 		if l.A < 0 || l.A >= n || l.B < 0 || l.B >= n {
 			return 0, fmt.Errorf("distance: route link %d-%d for pair (%d,%d) has an endpoint outside [0,%d)", l.A, l.B, i, j, n)
 		}
-		nodes = append(nodes, l.A, l.B)
 	}
-	slices.Sort(nodes)
-	nodes = slices.Compact(nodes)
-	local := func(s int) int {
-		k, _ := slices.BinarySearch(nodes, s)
-		return k
+	ps.nodes = ps.nodes[:0]
+	ps.add(i)
+	ps.add(j)
+	for _, l := range links {
+		ps.add(l.A)
+		ps.add(l.B)
 	}
-	edges := make([]linalg.WeightedEdge, len(links))
-	for k, l := range links {
-		edges[k] = linalg.WeightedEdge{U: local(l.A), V: local(l.B), Weight: 1}
+	slices.Sort(ps.nodes)
+	for k, s := range ps.nodes {
+		ps.local[s] = k
 	}
-	r, err := linalg.EffectiveResistance(len(nodes), edges, local(i), local(j))
+	ps.edges = ps.edges[:0]
+	for _, l := range links {
+		ps.edges = append(ps.edges, linalg.WeightedEdge{U: ps.local[l.A], V: ps.local[l.B], Weight: 1})
+	}
+	r, err := ps.solver.EffectiveResistance(len(ps.nodes), ps.edges, ps.local[i], ps.local[j])
+	for _, s := range ps.nodes {
+		ps.local[s] = -1
+	}
 	if err != nil {
 		return 0, fmt.Errorf("distance: resistance between %d and %d: %w", i, j, err)
 	}
 	return r, nil
+}
+
+// add makes switch s a node of the current route subgraph, once.
+func (ps *pairSolver) add(s int) {
+	if ps.local[s] < 0 {
+		ps.local[s] = 0
+		ps.nodes = append(ps.nodes, s)
+	}
 }
 
 // HopTable builds a plain hop-count table from the same path provider —

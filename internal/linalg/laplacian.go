@@ -15,19 +15,33 @@ type WeightedEdge struct {
 // Laplacian builds the n×n graph Laplacian L = D − A for the given
 // undirected weighted edges. Parallel edges accumulate (their conductances
 // add, exactly like parallel resistors). Self loops are ignored: they do
-// not affect effective resistance.
+// not affect effective resistance. It panics on an edge endpoint outside
+// [0, n); EffectiveResistance reports that case as an error.
 func Laplacian(n int, edges []WeightedEdge) *Matrix {
 	l := NewMatrix(n, n)
-	for _, e := range edges {
+	if err := addLaplacian(l.Data, n, edges); err != nil {
+		panic(err)
+	}
+	return l
+}
+
+// addLaplacian accumulates the Laplacian of edges into the n×n row-major
+// lap, in edge order. It checks each endpoint before using it: lap is
+// flat, so an endpoint outside [0, n) could land on another node's cell.
+func addLaplacian(lap []float64, n int, edges []WeightedEdge) error {
+	for k, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return fmt.Errorf("linalg: edge %d (%d-%d) has an endpoint outside [0,%d)", k, e.U, e.V, n)
+		}
 		if e.U == e.V {
 			continue
 		}
-		l.Add(e.U, e.U, e.Weight)
-		l.Add(e.V, e.V, e.Weight)
-		l.Add(e.U, e.V, -e.Weight)
-		l.Add(e.V, e.U, -e.Weight)
+		lap[e.U*n+e.U] += e.Weight
+		lap[e.V*n+e.V] += e.Weight
+		lap[e.U*n+e.V] -= e.Weight
+		lap[e.V*n+e.U] -= e.Weight
 	}
-	return l
+	return nil
 }
 
 // ErrDisconnected is returned by EffectiveResistance when the two terminal
@@ -45,84 +59,107 @@ var ErrDisconnected = errors.New("linalg: terminals are not connected")
 // The reduced ("grounded") Laplacian of a connected component containing t
 // is symmetric positive definite, so Cholesky is used; if the component
 // containing s does not contain t the system is singular and
-// ErrDisconnected is returned.
+// ErrDisconnected is returned. An edge endpoint outside [0, n) is an
+// error.
 func EffectiveResistance(n int, edges []WeightedEdge, s, t int) (float64, error) {
+	var sv Solver
+	return sv.EffectiveResistance(n, edges, s, t)
+}
+
+// Solver computes effective resistances exactly as EffectiveResistance
+// does, in buffers it keeps from one call to the next: a caller solving
+// many small networks in turn allocates only while the buffers grow. The
+// zero Solver is ready to use. A Solver is not safe for concurrent use.
+type Solver struct {
+	lap    []float64 // n×n Laplacian
+	parent []int     // union-find forest over the n nodes
+	idx    []int     // grounded row → node
+	red    []float64 // m×m grounded Laplacian
+	chol   []float64 // its Cholesky factor (lower triangle)
+	y, x   []float64 // forward and backward substitution vectors
+}
+
+// EffectiveResistance is the package-level EffectiveResistance on the
+// solver's buffers.
+func (sv *Solver) EffectiveResistance(n int, edges []WeightedEdge, s, t int) (float64, error) {
 	if s < 0 || s >= n || t < 0 || t >= n {
 		return 0, fmt.Errorf("linalg: terminal out of range: s=%d t=%d n=%d", s, t, n)
 	}
 	if s == t {
 		return 0, nil
 	}
-	lap := Laplacian(n, edges)
+	sv.lap = resize(sv.lap, n*n)
+	clear(sv.lap)
+	if err := addLaplacian(sv.lap, n, edges); err != nil {
+		return 0, err
+	}
 
 	// Keep only the nodes in the connected component of s and t — nodes in
 	// other components make the grounded Laplacian singular even though the
 	// resistance between s and t is well defined.
-	comp := componentOf(n, edges, s)
-	if !comp[t] {
+	sv.parent = resize(sv.parent, n)
+	for i := range sv.parent {
+		sv.parent[i] = i
+	}
+	for _, e := range edges {
+		sv.parent[sv.find(e.U)] = sv.find(e.V)
+	}
+	root := sv.find(s)
+	if sv.find(t) != root {
 		return 0, ErrDisconnected
 	}
-	idx := make([]int, 0, n) // old index -> position among kept rows
-	pos := make([]int, n)
+	sv.idx = sv.idx[:0]
+	ps := 0 // grounded row of s
 	for i := 0; i < n; i++ {
-		pos[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		if comp[i] && i != t { // ground t: drop its row/col
-			pos[i] = len(idx)
-			idx = append(idx, i)
+		if i != t && sv.find(i) == root { // ground t: drop its row/col
+			if i == s {
+				ps = len(sv.idx)
+			}
+			sv.idx = append(sv.idx, i)
 		}
 	}
-	m := len(idx)
-	red := NewMatrix(m, m)
-	for a := 0; a < m; a++ {
-		for b := 0; b < m; b++ {
-			red.Set(a, b, lap.At(idx[a], idx[b]))
+	m := len(sv.idx)
+	sv.red = resize(sv.red, m*m)
+	for a, ia := range sv.idx {
+		for b, ib := range sv.idx {
+			sv.red[a*m+b] = sv.lap[ia*n+ib]
 		}
 	}
-	rhs := make([]float64, m)
-	rhs[pos[s]] = 1 // inject 1 A at s (the matching −1 sits at grounded t)
+	sv.x = resize(sv.x, m)
+	clear(sv.x)
+	sv.x[ps] = 1 // inject 1 A at s (the matching −1 sits at grounded t)
 
-	l, err := Cholesky(red)
-	if err != nil {
+	sv.chol = resize(sv.chol, m*m)
+	if err := cholesky(sv.red, sv.chol, m); err != nil {
 		// Fall back to pivoted Gaussian elimination for borderline
 		// conditioning; if that also fails the component is degenerate.
-		x, gerr := Solve(red, rhs)
+		x, gerr := Solve(&Matrix{Rows: m, Cols: m, Data: sv.red}, sv.x)
 		if gerr != nil {
 			return 0, gerr
 		}
-		return x[pos[s]], nil
+		return x[ps], nil
 	}
-	x, err := SolveCholesky(l, rhs)
-	if err != nil {
+	sv.y = resize(sv.y, m)
+	if err := solveCholesky(sv.chol, sv.x, sv.y, sv.x, m); err != nil {
 		return 0, err
 	}
-	return x[pos[s]], nil
+	return sv.x[ps], nil
 }
 
-// componentOf returns a membership mask of the connected component of
-// start under the given edges.
-func componentOf(n int, edges []WeightedEdge, start int) []bool {
-	adj := make([][]int, n)
-	for _, e := range edges {
-		if e.U == e.V {
-			continue
-		}
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+// find returns the root of v's tree, halving the path on the way.
+func (sv *Solver) find(v int) int {
+	for sv.parent[v] != v {
+		sv.parent[v] = sv.parent[sv.parent[v]]
+		v = sv.parent[v]
 	}
-	seen := make([]bool, n)
-	queue := []int{start}
-	seen[start] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				queue = append(queue, v)
-			}
-		}
+	return v
+}
+
+// resize returns buf with length size, reallocating only when its
+// capacity is short. The contents are unspecified.
+func resize[T any](buf []T, size int) []T {
+	if cap(buf) < size {
+		return make([]T, size)
 	}
-	return seen
+	return buf[:size]
 }

@@ -3,6 +3,7 @@ package linalg
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -149,6 +150,24 @@ func TestEffectiveResistanceOutOfRange(t *testing.T) {
 	}
 	if _, err := EffectiveResistance(2, nil, -1, 0); err == nil {
 		t.Fatal("expected out-of-range error")
+	}
+	// An edge endpoint outside [0, n) is an error naming the edge, never
+	// a panic or a silent write — (0,20) at n = 16 has a flat Laplacian
+	// index, 0·16+20, inside the 16×16 buffer.
+	for _, c := range []struct {
+		n     int
+		edges [][2]int
+		name  string
+	}{
+		{2, [][2]int{{0, 5}, {0, 1}}, "0-5"},
+		{2, [][2]int{{0, 1}, {1, 2}}, "1-2"},
+		{3, [][2]int{{0, 1}, {-1, 2}}, "-1-2"},
+		{16, [][2]int{{0, 1}, {0, 20}}, "0-20"},
+	} {
+		_, err := EffectiveResistance(c.n, unitEdges(c.edges), 0, 1)
+		if err == nil || !strings.HasPrefix(err.Error(), "linalg: ") || !strings.Contains(err.Error(), c.name) {
+			t.Fatalf("n=%d edges %v: err = %v, want a linalg error naming edge %s", c.n, c.edges, err, c.name)
+		}
 	}
 }
 

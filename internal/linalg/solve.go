@@ -91,55 +91,77 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("linalg: Cholesky requires a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
-	n := a.Rows
-	l := NewMatrix(n, n)
+	l := NewMatrix(a.Rows, a.Rows)
+	if err := cholesky(a.Data, l.Data, a.Rows); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// cholesky writes the Cholesky factor of the n×n row-major a into the
+// lower triangle of l, leaving l's upper triangle as it was.
+func cholesky(a, l []float64, n int) error {
 	for i := 0; i < n; i++ {
+		li := l[i*n : i*n+i+1]
 		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
+			lj := l[j*n : j*n+j+1]
+			s := a[i*n+j]
 			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+				s -= li[k] * lj[k]
 			}
 			if i == j {
 				if s <= 0 {
-					return nil, ErrSingular
+					return ErrSingular
 				}
-				l.Set(i, i, math.Sqrt(s))
+				li[i] = math.Sqrt(s)
 			} else {
-				l.Set(i, j, s/l.At(j, j))
+				li[j] = s / lj[j]
 			}
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // SolveCholesky solves A·x = b given the Cholesky factor L of A
 // (forward then backward substitution).
 func SolveCholesky(l *Matrix, b []float64) ([]float64, error) {
 	n := l.Rows
+	if l.Cols != n {
+		return nil, fmt.Errorf("linalg: SolveCholesky requires a square factor, got %dx%d", l.Rows, l.Cols)
+	}
 	if n != len(b) {
 		return nil, fmt.Errorf("linalg: SolveCholesky dimension mismatch: %d vs %d", n, len(b))
 	}
+	x := make([]float64, n)
+	if err := solveCholesky(l.Data, b, make([]float64, n), x, n); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// solveCholesky solves L·Lᵀ·x = b for the lower triangle L of the n×n
+// row-major l, through y. b may alias x: the forward pass reads all of b
+// before the backward pass writes x.
+func solveCholesky(l, b, y, x []float64, n int) error {
 	// Forward: L·y = b
-	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for j := 0; j < i; j++ {
-			s -= l.At(i, j) * y[j]
+			s -= l[i*n+j] * y[j]
 		}
-		d := l.At(i, i)
+		d := l[i*n+i]
 		if d == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		y[i] = s / d
 	}
 	// Backward: Lᵀ·x = y
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for j := i + 1; j < n; j++ {
-			s -= l.At(j, i) * x[j]
+			s -= l[j*n+i] * x[j]
 		}
-		x[i] = s / l.At(i, i)
+		x[i] = s / l[i*n+i]
 	}
-	return x, nil
+	return nil
 }

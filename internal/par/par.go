@@ -62,8 +62,43 @@ func RootContext() context.Context {
 	return context.Background()
 }
 
-// forEach is the raw bounded-worker loop, with no unit policy applied.
+// forEach is the local executor: Local with a par.item span and a
+// progress event per item when observability is on, and no unit policy.
 func forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	var (
+		workers int
+		done    atomic.Int64
+	)
+	nextWorker := func() int { workers++; return workers - 1 }
+	return Local(ctx, n, nextWorker, func(ctx context.Context, worker, i int) error {
+		if !obs.Enabled() {
+			return fn(ctx, i)
+		}
+		// Items are coarse (a full simulation run, a search restart), so a
+		// per-item span is cheap relative to the work; the worker field
+		// maps the item onto its worker's thread lane in the Chrome trace
+		// view, and the derived context hands each item its own span as
+		// parent so nested instrumentation trees under the right item.
+		sp, ictx := obs.StartSpanCtx(ctx, "par.item", obs.F("worker", worker), obs.F("index", i))
+		err := fn(ictx, i)
+		sp.End(obs.F("err", err != nil))
+		obs.Progress("par.foreach", done.Add(1), int64(n))
+		return err
+	})
+}
+
+// Local runs fn(ctx, state, i) for every i in [0, n) across at most
+// min(GOMAXPROCS, n) goroutines of this process and returns the first
+// error. It is the package's only bounded-worker loop: ForEach and
+// ForEachPartial reach it through the local executor. newState is
+// called once per worker, on the calling goroutine before any item
+// runs, and the worker passes its state to every item it takes, so fn
+// can keep scratch there without locking. A nil ctx means the root
+// context; cancellation stops workers between items and is surfaced as
+// the (wrapped) context error. A panicking fn is recovered into an
+// error. Local ignores the installed Executor and Policy and records
+// nothing per item, so it suits fine-grained items.
+func Local[S any](ctx context.Context, n int, newState func() S, fn func(ctx context.Context, state S, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -77,17 +112,16 @@ func forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) err
 	var (
 		wg     sync.WaitGroup
 		next   atomic.Int64
-		done   atomic.Int64
 		failed atomic.Pointer[error]
 	)
 	for w := 0; w < workers; w++ {
+		state := newState()
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					err := fmt.Errorf("par: worker panic: %v", r)
-					failed.CompareAndSwap(nil, &err)
+					fail(&failed, fmt.Errorf("par: worker panic: %v", r))
 				}
 			}()
 			for {
@@ -96,37 +130,26 @@ func forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) err
 					return
 				}
 				if err := ctx.Err(); err != nil {
-					err = fmt.Errorf("par: cancelled at item %d: %w", i, err)
-					failed.CompareAndSwap(nil, &err)
+					fail(&failed, fmt.Errorf("par: cancelled at item %d: %w", i, err))
 					return
 				}
-				if obs.Enabled() {
-					// Items are coarse (a full simulation run, a search
-					// restart), so a per-item span is cheap relative to the
-					// work; the worker field maps the item onto its worker's
-					// thread lane in the Chrome trace view, and the derived
-					// context hands each item its own span as parent so
-					// nested instrumentation trees under the right item.
-					sp, ictx := obs.StartSpanCtx(ctx, "par.item", obs.F("worker", worker), obs.F("index", i))
-					err := fn(ictx, i)
-					sp.End(obs.F("err", err != nil))
-					obs.Progress("par.foreach", done.Add(1), int64(n))
-					if err != nil {
-						failed.CompareAndSwap(nil, &err)
-						return
-					}
-					continue
-				}
-				if err := fn(ctx, i); err != nil {
-					failed.CompareAndSwap(nil, &err)
+				if err := fn(ctx, state, i); err != nil {
+					fail(&failed, err)
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if errp := failed.Load(); errp != nil {
 		return *errp
 	}
 	return nil
+}
+
+// fail records err as the loop's error unless one is already recorded.
+// Taking the address of the parameter moves only a failure's error to
+// the heap, not every item's.
+func fail(failed *atomic.Pointer[error], err error) {
+	failed.CompareAndSwap(nil, &err)
 }

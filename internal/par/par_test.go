@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -65,4 +66,67 @@ func TestForEachHonorsCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
+}
+
+func TestLocalGivesEachWorkerItsOwnState(t *testing.T) {
+	const n = 1000
+	var states []*int
+	visits := make([]atomic.Int64, n)
+	err := Local(context.Background(), n, func() *int {
+		c := new(int)
+		states = append(states, c)
+		return c
+	}, func(_ context.Context, c *int, i int) error {
+		*c++ // unsynchronized: -race flags a state two workers share
+		visits[i].Add(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(states) == 0 || len(states) > runtime.GOMAXPROCS(0) {
+		t.Fatalf("%d worker states for GOMAXPROCS=%d", len(states), runtime.GOMAXPROCS(0))
+	}
+	total := 0
+	for _, c := range states {
+		total += *c
+	}
+	if total != n {
+		t.Fatalf("worker states counted %d items, want %d", total, n)
+	}
+	for i := range visits {
+		if c := visits[i].Load(); c != 1 {
+			t.Fatalf("index %d visited %d times", i, c)
+		}
+	}
+}
+
+// TestForEachAllocsDoNotGrowWithItems: a loop's allocations are its
+// workers' and its error's, never a per-item cost.
+func TestForEachAllocsDoNotGrowWithItems(t *testing.T) {
+	noop := func(context.Context, int) error { return nil }
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := ForEach(context.Background(), n, noop); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10), allocs(1000); large > small+4 {
+		t.Fatalf("ForEach allocates %v times over 1000 items, %v over 10", large, small)
+	}
+}
+
+// BenchmarkForEach times the loop's own per-item dispatch: a no-op item
+// on the local pool, reported as ns/item.
+func BenchmarkForEach(b *testing.B) {
+	const n = 1000
+	noop := func(context.Context, int) error { return nil }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := ForEach(context.Background(), n, noop); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/item")
 }

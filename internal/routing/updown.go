@@ -15,6 +15,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"commsched/internal/topology"
 )
@@ -50,11 +51,12 @@ type UpDown struct {
 
 	// dist[s][t] = legal shortest route length.
 	dist [][]int
-	// hops[s][t] = admissible next hops on legal shortest routes for a
-	// message at s (still in its up phase) destined to t.
-	// hopsDown[s][t] = the same for a message already descending.
-	hops     [][][]Hop
-	hopsDown [][][]Hop
+	// hops holds the admissible next hops on legal shortest routes of
+	// every (destination, switch, phase) state, back to back: those of a
+	// message at s in phase p destined to t are hops[off[k]:off[k+1]]
+	// with k = (t·N + s)·2 + p.
+	hops []Hop
+	off  []int32
 }
 
 // phase indices for the legality automaton.
@@ -126,25 +128,33 @@ func (ud *UpDown) Distance(s, t int) int { return ud.dist[s][t] }
 // All returned hops lie on legal routes of minimal remaining length.
 // The result is shared; callers must not modify it.
 func (ud *UpDown) NextHops(s, t int, descending bool) []Hop {
-	if descending {
-		return ud.hopsDown[s][t]
+	n := len(ud.dist)
+	if s < 0 || s >= n || t < 0 || t >= n {
+		// The flat table would alias another state's hops.
+		panic(fmt.Sprintf("routing: NextHops(%d, %d) outside [0,%d)", s, t, n))
 	}
-	return ud.hops[s][t]
+	k := (t*n + s) * 2
+	if descending {
+		k++
+	}
+	lo, hi := ud.off[k], ud.off[k+1]
+	if lo == hi {
+		return nil
+	}
+	return ud.hops[lo:hi:hi]
 }
 
-// computeAllPairs fills dist, hops and hopsDown via one backward BFS per
+// computeAllPairs fills dist, hops and off via one backward BFS per
 // destination over the 2·N-state legality automaton
 // (switch × {up-phase, down-phase}).
 func (ud *UpDown) computeAllPairs() {
 	n := ud.net.Switches()
 	ud.dist = make([][]int, n)
-	ud.hops = make([][][]Hop, n)
-	ud.hopsDown = make([][][]Hop, n)
 	for s := 0; s < n; s++ {
 		ud.dist[s] = make([]int, n)
-		ud.hops[s] = make([][]Hop, n)
-		ud.hopsDown[s] = make([][]Hop, n)
 	}
+	ud.off = make([]int32, 0, 2*n*n+1)
+	ud.off = append(ud.off, 0)
 
 	// db[p][v] = minimal legal hops from v (in phase p) to the target.
 	db := [2][]int{make([]int, n), make([]int, n)}
@@ -152,8 +162,10 @@ func (ud *UpDown) computeAllPairs() {
 		ud.backwardDistances(t, db)
 		for s := 0; s < n; s++ {
 			ud.dist[s][t] = db[phaseUp][s]
-			ud.hops[s][t] = ud.admissibleHops(s, t, phaseUp, db)
-			ud.hopsDown[s][t] = ud.admissibleHops(s, t, phaseDown, db)
+			for _, p := range [2]int{phaseUp, phaseDown} {
+				ud.hops = ud.appendAdmissibleHops(ud.hops, s, t, p, db)
+				ud.off = append(ud.off, int32(len(ud.hops)))
+			}
 		}
 	}
 }
@@ -217,14 +229,13 @@ func (ud *UpDown) backwardDistances(t int, db [2][]int) {
 	}
 }
 
-// admissibleHops lists the neighbor moves from (s, p) that stay on a
-// minimal-length legal route to t.
-func (ud *UpDown) admissibleHops(s, t, p int, db [2][]int) []Hop {
+// appendAdmissibleHops appends to out the neighbor moves from (s, p) that
+// stay on a minimal-length legal route to t.
+func (ud *UpDown) appendAdmissibleHops(out []Hop, s, t, p int, db [2][]int) []Hop {
 	if s == t {
-		return nil
+		return out
 	}
 	want := db[p][s] - 1
-	var out []Hop
 	for _, v := range ud.net.Neighbors(s) {
 		up := ud.IsUp(s, v)
 		if p == phaseUp && up {
@@ -249,37 +260,40 @@ func (ud *UpDown) PathLinks(s, t int) []topology.Link {
 	if s == t {
 		return nil
 	}
-	// Walk the admissible-hop DAG from (s, up); every traversed move is on
-	// a minimal route by construction of admissibleHops.
+	// Walk the admissible-hop DAG from (s, up) one layer of hops at a time;
+	// every traversed move is on a minimal route by construction of the
+	// hop table. Each hop lowers the remaining distance by exactly one, so
+	// a state can recur only within its own layer, and states are
+	// deduplicated against that layer alone. Route subgraphs are small, so
+	// both lists live in stack buffers and links are deduplicated by scan.
 	type state struct {
 		v    int
 		down bool
 	}
-	seenState := map[state]bool{}
-	seenLink := map[topology.Link]bool{}
-	var links []topology.Link
-	stack := []state{{s, false}}
-	seenState[stack[0]] = true
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur.v == t {
-			continue
-		}
-		for _, h := range ud.NextHops(cur.v, t, cur.down) {
-			l := topology.NormalizeLink(cur.v, h.To)
-			if !seenLink[l] {
-				seenLink[l] = true
-				links = append(links, l)
-			}
-			ns := state{h.To, h.Descending}
-			if !seenState[ns] {
-				seenState[ns] = true
-				stack = append(stack, ns)
+	var stateBuf [2][16]state
+	var linkBuf [32]topology.Link
+	layer, next := append(stateBuf[0][:0], state{s, false}), stateBuf[1][:0]
+	links := linkBuf[:0]
+	for len(layer) > 0 {
+		next = next[:0]
+		for _, st := range layer {
+			for _, h := range ud.NextHops(st.v, t, st.down) {
+				if l := topology.NormalizeLink(st.v, h.To); !slices.Contains(links, l) {
+					links = append(links, l)
+				}
+				if ns := (state{h.To, h.Descending}); h.To != t && !slices.Contains(next, ns) {
+					next = append(next, ns)
+				}
 			}
 		}
+		layer, next = next, layer
 	}
-	return links
+	if len(links) == 0 {
+		return nil
+	}
+	out := make([]topology.Link, len(links))
+	copy(out, links)
+	return out
 }
 
 // CountShortestLegalPaths returns the number of distinct minimal legal

@@ -250,33 +250,49 @@ func TestShortestLegalPathsProperties(t *testing.T) {
 
 func TestPathLinksMatchEnumeratedPaths(t *testing.T) {
 	// PathLinks must equal exactly the union of links appearing in the
-	// enumerated minimal legal routes.
-	net, err := topology.RandomIrregular(12, 3, rand.New(rand.NewSource(48)), topology.Config{})
+	// enumerated minimal legal routes, each link once. The torus and the
+	// hypercube have route subgraphs larger than PathLinks' stack buffers.
+	irregular, err := topology.RandomIrregular(12, 3, rand.New(rand.NewSource(48)), topology.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ud, err := NewUpDown(net, -1)
+	torus, err := topology.Torus2D(8, 8, topology.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < 12; s++ {
-		for tt := 0; tt < 12; tt++ {
-			want := map[topology.Link]bool{}
-			for _, path := range ud.ShortestLegalPaths(s, tt) {
-				for i := 1; i < len(path); i++ {
-					want[topology.NormalizeLink(path[i-1], path[i])] = true
+	cube, err := topology.Hypercube(6, topology.Config{Ports: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range []*topology.Network{irregular, torus, cube} {
+		ud, err := NewUpDown(net, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := net.Switches()
+		for s := 0; s < n; s++ {
+			for tt := 0; tt < n; tt++ {
+				want := map[topology.Link]bool{}
+				for _, path := range ud.ShortestLegalPaths(s, tt) {
+					for i := 1; i < len(path); i++ {
+						want[topology.NormalizeLink(path[i-1], path[i])] = true
+					}
 				}
-			}
-			got := map[topology.Link]bool{}
-			for _, l := range ud.PathLinks(s, tt) {
-				got[l] = true
-			}
-			if len(got) != len(want) {
-				t.Fatalf("(%d,%d): PathLinks has %d links, enumeration %d", s, tt, len(got), len(want))
-			}
-			for l := range want {
-				if !got[l] {
-					t.Fatalf("(%d,%d): link %v in enumerated paths missing from PathLinks", s, tt, l)
+				links := ud.PathLinks(s, tt)
+				got := map[topology.Link]bool{}
+				for _, l := range links {
+					got[l] = true
+				}
+				if len(links) != len(got) {
+					t.Fatalf("%s (%d,%d): PathLinks repeats a link: %v", net.Name(), s, tt, links)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s (%d,%d): PathLinks has %d links, enumeration %d", net.Name(), s, tt, len(got), len(want))
+				}
+				for l := range want {
+					if !got[l] {
+						t.Fatalf("%s (%d,%d): link %v in enumerated paths missing from PathLinks", net.Name(), s, tt, l)
+					}
 				}
 			}
 		}

@@ -229,9 +229,9 @@ type flit struct {
 // single-owner) or a host source queue (unbounded, multi-message). All
 // buffers live in one arena and are referenced by dense ID.
 type buffer struct {
-	q    []flit
-	head int   // index of the logical head within q (amortized dequeue)
-	cap  int   // 0 = unbounded (source queues)
+	q     []flit
+	head  int   // index of the logical head within q (amortized dequeue)
+	cap   int   // 0 = unbounded (source queues)
 	owner int32 // owning message for VC buffers, none when free
 
 	// Where the message at the head is routed: a downstream VC buffer, or

@@ -35,7 +35,7 @@ func feedLatency(t *testing.T, g *Registry) {
 		Dur: 40 * time.Millisecond, Trace: tr2,
 		Fields: []obs.Field{obs.F("endpoint", "/jobs"), obs.F("status", 202)}})
 	g.Emit(obs.Record{Time: base, Kind: "span", Name: "http.request",
-		Dur: 700 * time.Microsecond, // untraced: bucket keeps no exemplar
+		Dur:    700 * time.Microsecond, // untraced: bucket keeps no exemplar
 		Fields: []obs.Field{obs.F("endpoint", "/jobs/{id}"), obs.F("status", 200)}})
 	g.Emit(obs.Record{Time: base, Kind: "event", Name: "service.latency", Trace: tr1,
 		Fields: []obs.Field{obs.F("state", "queued"), obs.F("seconds", 0.02)}})

@@ -39,8 +39,8 @@ func buildTrace(t *testing.T, buf *bytes.Buffer) tracePayload {
 			Dur: time.Duration(durMS) * time.Millisecond, Fields: fields})
 	}
 	span("outer", 0, 10)
-	span("inner", 2, 3)    // nests inside outer on the same lane
-	span("overlap", 4, 8)  // ends after outer: needs its own lane
+	span("inner", 2, 3)   // nests inside outer on the same lane
+	span("overlap", 4, 8) // ends after outer: needs its own lane
 	span("item", 1, 2, obs.F("worker", 0))
 	span("item", 5, 2, obs.F("worker", 0))
 	span("item", 1, 4, obs.F("worker", 1))
