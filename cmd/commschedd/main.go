@@ -57,16 +57,13 @@ func main() {
 		errorBudget = flag.Int("errorbudget", 0, "sweep points allowed to fail permanently per job; failed points are salvaged as incomplete (0 = fail the job)")
 		jitterSeed  = flag.Int64("jitter-seed", 0, "seed perturbing per-unit backoff jitter (reproducible retry schedules)")
 
-		batchMax  = flag.Int("batch-max", 16, "evaluation batch size flush threshold")
-		batchWait = flag.Duration("batch-wait", 10*time.Millisecond, "evaluation batch age flush threshold")
-
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long running jobs get to finish on SIGTERM before they are parked")
 
 		metricsOut = flag.String("metrics", "", "also write the observability trace (JSON lines) to this file")
 	)
 	flag.Parse()
 	if err := run(*addr, *state, *workers, *queueDepth, *rate, *burst, *tenantJobs, *shedMB,
-		*timeout, *retries, *errorBudget, *jitterSeed, *batchMax, *batchWait, *drainTimeout, *metricsOut); err != nil {
+		*timeout, *retries, *errorBudget, *jitterSeed, *drainTimeout, *metricsOut); err != nil {
 		fmt.Fprintln(os.Stderr, "commschedd:", err)
 		os.Exit(1)
 	}
@@ -74,7 +71,7 @@ func main() {
 
 func run(addr, state string, workers, queueDepth int, rate float64, burst, tenantJobs, shedMB int,
 	timeout time.Duration, retries, errorBudget int, jitterSeed int64,
-	batchMax int, batchWait, drainTimeout time.Duration, metricsOut string) error {
+	drainTimeout time.Duration, metricsOut string) error {
 
 	// Telemetry shares the daemon's port: the registry and hub feed
 	// /metrics, /events, and /runs on the API mux instead of a second
@@ -130,9 +127,7 @@ func run(addr, state string, workers, queueDepth int, rate float64, burst, tenan
 			ErrorBudget: errorBudget,
 			Seed:        jitterSeed,
 		},
-		CkptRoot:  ckpt,
-		BatchMax:  batchMax,
-		BatchWait: batchWait,
+		CkptRoot: ckpt,
 	})
 	if err != nil {
 		return err

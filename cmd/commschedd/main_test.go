@@ -26,7 +26,7 @@ func TestMain(m *testing.M) {
 		err := run("127.0.0.1:0", os.Getenv("COMMSCHEDD_CHILD_STATE"),
 			1, 64, 0, 0, 0, 0,
 			time.Minute, 1, 0, 0,
-			16, 10*time.Millisecond, 30*time.Second, "")
+			30*time.Second, "")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "child:", err)
 			os.Exit(1)

@@ -142,8 +142,10 @@ func traceOf(tp string) string {
 
 // specFor builds submission i of the seeded mix: a rotating tenant and a
 // deterministic blend of cheap evaluate jobs, schedule searches, and the
-// occasional short sweep — enough variety to exercise the batcher, the
-// search path, and the checkpointing sweep path at once.
+// occasional short sweep — enough variety to exercise the evaluate-job
+// path, the search path, and the checkpointing sweep path at once. Every
+// request goes to POST /jobs, so none reaches the synchronous /evaluate
+// endpoint.
 func specFor(i, tenants int, seed int64) service.JobSpec {
 	rng := rand.New(rand.NewSource(seed + int64(i)*7919))
 	spec := service.JobSpec{
@@ -156,8 +158,8 @@ func specFor(i, tenants int, seed int64) service.JobSpec {
 		spec.Generate = &service.GenerateSpec{Kind: "ring", Switches: 8}
 		spec.M = 4
 		// A random rotation of a balanced assignment: every cluster keeps
-		// two switches, so the mapping is always valid while the batch
-		// still sees varied inputs.
+		// two switches, so the mapping is always valid while the jobs
+		// still see varied inputs.
 		rot := rng.Intn(8)
 		spec.Assign = make([]int, 8)
 		for s := range spec.Assign {

@@ -17,7 +17,7 @@ import (
 //	GET  /jobs              list jobs (filter with ?state= and ?tenant=)
 //	GET  /jobs/{id}         one job's record
 //	GET  /jobs/{id}/result  the result document alone (409 until done)
-//	POST /evaluate          synchronous, batched F_G/D_G/Cc evaluation
+//	POST /evaluate          synchronous F_G/D_G/Cc evaluation (cached characterization)
 //	GET  /healthz           liveness: the process is up (always 200)
 //	GET  /readyz            readiness: admission state (503 when draining)
 //

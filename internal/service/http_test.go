@@ -94,22 +94,33 @@ func TestAPISubmitAndFetchResult(t *testing.T) {
 
 func TestAPIBadRequests(t *testing.T) {
 	_, ts := newTestAPI(t, Config{Runner: &stubRunner{}})
-	cases := []struct {
-		name, body string
-	}{
-		{"malformed JSON", `{`},
-		{"unknown field", `{"kind":"evaluate","bogus":1}`},
-		{"invalid spec", `{"kind":"nonsense"}`},
+	// Each case is posted to /jobs as body and to /evaluate as eval.
+	type badCase struct{ name, body, eval string }
+	cases := []badCase{
+		{"malformed JSON", `{`, `{`},
+		{"unknown field", `{"kind":"evaluate","bogus":1}`, `{"kind":"evaluate","bogus":1}`},
+		{"invalid spec", `{"kind":"nonsense"}`, `{"kind":"nonsense"}`},
+	}
+	for i, doc := range overflowingSpecs {
+		// /evaluate gets the same body with a mapping, so only the
+		// topology can make it invalid.
+		cases = append(cases, badCase{fmt.Sprintf("overflowing generator %d", i), doc, strings.TrimSuffix(doc, "}") + `,"assign":[0],"m":1}`})
+	}
+	for i, doc := range oversizedSpecs {
+		cases = append(cases, badCase{fmt.Sprintf("oversized count %d", i), doc, doc})
 	}
 	for _, c := range cases {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		for path, body := range map[string]string{"/jobs": c.body, "/evaluate": c.eval} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", path, c.name, err)
+			}
+			e := decodeBody[apiError](t, resp)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || e.Reason != "invalid" {
+				t.Fatalf("%s %s = %d %+v, want 400 invalid", path, c.name, resp.StatusCode, e)
+			}
 		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s = %d, want 400", c.name, resp.StatusCode)
-		}
-		resp.Body.Close()
 	}
 	// Oversized body.
 	big := fmt.Sprintf(`{"kind":"evaluate","network":{"pad":%q}}`, strings.Repeat("x", maxBodyBytes))
@@ -231,7 +242,7 @@ func TestAPIBackpressureHasRetryAfterHeader(t *testing.T) {
 }
 
 func TestAPIEvaluate(t *testing.T) {
-	_, ts := newTestAPI(t, Config{Runner: &stubRunner{}, BatchWait: time.Millisecond})
+	_, ts := newTestAPI(t, Config{Runner: &stubRunner{}})
 	resp := postSpec(t, ts, "/evaluate", specEval())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("evaluate = %d, want 200", resp.StatusCode)

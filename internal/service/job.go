@@ -126,7 +126,7 @@ type JobSpec struct {
 // online request — resource exhaustion is an availability bug too.
 const (
 	// MaxSwitches bounds the topology size (the distance table is an
-	// O(n²) set of resistance solves).
+	// O(n²) set of resistance solves) and every other count in a spec.
 	MaxSwitches = 128
 	// MaxRates bounds the sweep ladder length.
 	MaxRates = 64
@@ -152,7 +152,37 @@ func (s *JobSpec) Validate() error {
 	if len(s.Network) > MaxNetworkBytes {
 		return fmt.Errorf("network document is %d bytes (cap %d)", len(s.Network), MaxNetworkBytes)
 	}
-	if g := s.Generate; g != nil {
+	// Every count is bounded before anything is sized by it or multiplied:
+	// the topology allocates per switch, the simulator per host and a
+	// mapping per cluster (a cluster needs a switch).
+	var head struct {
+		Switches       int `json:"switches"`
+		Ports          int `json:"ports"`
+		HostsPerSwitch int `json:"hosts_per_switch"`
+	}
+	if s.Network != nil {
+		if err := json.Unmarshal(s.Network, &head); err != nil {
+			return fmt.Errorf("decoding network: %w", err)
+		}
+	}
+	var g GenerateSpec
+	if s.Generate != nil {
+		g = *s.Generate
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"clusters", s.Clusters}, {"m", s.M}, {"assign length", len(s.Assign)},
+		{"network switches", head.Switches}, {"network ports", head.Ports}, {"network hosts_per_switch", head.HostsPerSwitch},
+		{"generator switches", g.Switches}, {"degree", g.Degree}, {"rings", g.Rings}, {"ring_size", g.RingSize},
+		{"bridges", g.Bridges}, {"rows", g.Rows}, {"cols", g.Cols}, {"dim", g.Dim},
+	} {
+		if c.n < 0 || c.n > MaxSwitches {
+			return fmt.Errorf("%s %d out of range [0, %d]", c.name, c.n, MaxSwitches)
+		}
+	}
+	if s.Generate != nil {
 		n := g.Switches
 		switch g.Kind {
 		case "rings":
@@ -234,8 +264,8 @@ func (s *JobSpec) ResolveNetwork() (*topology.Network, error) {
 }
 
 // TopologySHA is the SHA-256 of the resolved network's canonical JSON —
-// the key the batcher coalesces on and the identity a per-job checkpoint
-// directory is pinned to.
+// the key of the /evaluate system cache and the identity a per-job
+// checkpoint directory is pinned to.
 func TopologySHA(net *topology.Network) (string, error) {
 	data, err := net.MarshalJSON()
 	if err != nil {
@@ -321,7 +351,7 @@ type SweepResult struct {
 }
 
 // EvaluateResult is the result document of an evaluate job (and of the
-// synchronous batched /evaluate endpoint).
+// synchronous /evaluate endpoint).
 type EvaluateResult struct {
 	FG float64 `json:"fg"`
 	DG float64 `json:"dg"`

@@ -41,20 +41,21 @@ type Config struct {
 	CkptRoot string
 	// Clock is injectable time (default time.Now).
 	Clock func() time.Time
-	// BatchMax / BatchWait tune the evaluation batcher.
+	// BatchMax and BatchWait are ignored (/evaluate waits on no timer);
+	// they remain so existing callers compile.
 	BatchMax  int
 	BatchWait time.Duration
 }
 
 // Service is the scheduling daemon's engine: admission → bounded queue →
-// worker pool → store, with a coalescing batcher for synchronous
-// evaluations. HTTP lives in http.go; the engine is fully drivable (and
-// tested) without a socket.
+// worker pool → store, with a cache of characterized systems for
+// synchronous evaluations. HTTP lives in http.go; the engine is fully
+// drivable (and tested) without a socket.
 type Service struct {
 	store    JobStore
 	runner   Runner
 	adm      *Admission
-	batcher  *Batcher
+	systems  *sysCache
 	lim      Limits
 	clock    func() time.Time
 	ckptRoot string
@@ -101,7 +102,7 @@ func New(cfg Config) (*Service, error) {
 		store:    cfg.Store,
 		runner:   cfg.Runner,
 		adm:      adm,
-		batcher:  NewBatcher(cfg.BatchMax, cfg.BatchWait),
+		systems:  newSysCache(cacheBudget),
 		lim:      cfg.Limits,
 		clock:    cfg.Clock,
 		ckptRoot: cfg.CkptRoot,
@@ -220,10 +221,11 @@ func (s *Service) SubmitCtx(ctx context.Context, spec JobSpec) (Job, error) {
 	return job, nil
 }
 
-// Evaluate is the synchronous, batched path: concurrent requests against
-// the same topology coalesce into one characterization. Only the cheap
-// admission gates apply (draining, shedding, tenant rate) — an
-// evaluation holds no queue slot.
+// Evaluate is the synchronous path: it scores the assignment against
+// its topology's characterized system, built once and kept in a bounded
+// cache that concurrent first requests share. Only the draining and
+// shedding gates apply — an evaluation holds no queue slot and takes no
+// tenant token.
 func (s *Service) Evaluate(ctx context.Context, spec JobSpec) (EvaluateResult, error) {
 	spec.Kind = KindEvaluate
 	net, err := spec.ResolveNetwork()
@@ -240,7 +242,11 @@ func (s *Service) Evaluate(ctx context.Context, spec JobSpec) (EvaluateResult, e
 	if err != nil {
 		return EvaluateResult{}, err
 	}
-	return s.batcher.Evaluate(ctx, sha, net, spec.Assign, spec.M)
+	sys, err := s.systems.get(ctx, sha, net)
+	if err != nil {
+		return EvaluateResult{}, err
+	}
+	return evaluateAssign(sys, spec.Assign, spec.M)
 }
 
 // Get returns one job's record.
@@ -453,13 +459,16 @@ type ServiceStats struct {
 	Parked    int64          `json:"parked"`
 	Workers   int            `json:"workers"`
 	QueueCap  int            `json:"queue_cap"`
-	Batches   int64          `json:"eval_batches"`
-	Coalesced int64          `json:"eval_coalesced"`
+	// Batches counts the characterizations /evaluate ran (cache misses).
+	// Coalesced counts /evaluate calls that ran none because their
+	// topology's system was cached or already being characterized.
+	Batches   int64 `json:"eval_batches"`
+	Coalesced int64 `json:"eval_coalesced"`
 }
 
 // Stats snapshots the counters.
 func (s *Service) Stats() ServiceStats {
-	batches, coalesced := s.batcher.Stats()
+	coalesced, batches := s.systems.stats()
 	return ServiceStats{
 		Admission: s.adm.Stats(),
 		Running:   s.running.Load(),

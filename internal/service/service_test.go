@@ -316,7 +316,7 @@ func TestServiceEvaluateDuringDrainRefused(t *testing.T) {
 }
 
 func TestServiceEvaluateBatchedAnswers(t *testing.T) {
-	svc := newTestService(t, Config{Runner: &stubRunner{}, BatchWait: 5 * time.Millisecond})
+	svc := newTestService(t, Config{Runner: &stubRunner{}})
 	res, err := svc.Evaluate(context.Background(), specEval())
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
