@@ -23,6 +23,7 @@
 package main
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -35,6 +36,7 @@ import (
 	"commsched/internal/routing"
 	"commsched/internal/search"
 	"commsched/internal/simnet"
+	"commsched/internal/topology"
 	"commsched/internal/traffic"
 )
 
@@ -473,6 +475,49 @@ func BenchmarkSimulatorSteadyState(b *testing.B) {
 		sim.Advance(chunk)
 	}
 	b.ReportMetric(chunk, "cycles/op")
+}
+
+// BenchmarkSimulatorRun times one full-scale figure point per op: 2,000
+// warmup and 10,000 measured cycles through core.System.Simulate on the
+// seeded random 4-cluster mapping RandomMapping(4, 1), construction
+// included, on the Fig 3 and Fig 5 networks below saturation (rate 0.05)
+// and deep in it (rate 0.45). ns/switch-cycle divides the time per op by
+// switches × cycles, so the networks and loads compare directly.
+func BenchmarkSimulatorRun(b *testing.B) {
+	nets := []struct {
+		name  string
+		build func() (*topology.Network, error)
+	}{{"n16", experiments.Network16}, {"rings24", experiments.Network24Rings}}
+	for _, nc := range nets {
+		b.Run(nc.name, func(b *testing.B) {
+			net, err := nc.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys, err := core.NewSystem(net, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := sys.RandomMapping(4, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, rate := range []float64{0.05, 0.45} {
+				b.Run(fmt.Sprintf("rate=%v", rate), func(b *testing.B) {
+					cfg := simnet.Config{InjectionRate: rate, WarmupCycles: 2000, MeasureCycles: 10000, Seed: 1}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := sys.Simulate(p, cfg); err != nil {
+							b.Fatal(err)
+						}
+					}
+					switchCycles := float64(net.Switches() * (cfg.WarmupCycles + cfg.MeasureCycles))
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/switchCycles, "ns/switch-cycle")
+				})
+			}
+		})
+	}
 }
 
 // BenchmarkExtensionUnequalClusters exercises the future-work feature:

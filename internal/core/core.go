@@ -195,20 +195,24 @@ func (s *System) Schedule(ctx context.Context, opts ScheduleOptions) (*Schedule,
 	sp, ctx := obs.StartSpanCtx(ctx, "core.schedule",
 		obs.F("clusters", opts.Clusters),
 		obs.F("seed", opts.Seed))
+	fail := func(err error) (*Schedule, error) {
+		sp.End(obs.F("err", true))
+		return nil, err
+	}
 	var spec search.Spec
 	var err error
 	if opts.Sizes != nil {
 		if err := s.validateSizes(opts.Sizes); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		spec = search.Spec{Sizes: opts.Sizes}
 	} else {
 		if opts.Clusters <= 0 {
-			return nil, fmt.Errorf("core: ScheduleOptions needs Clusters or Sizes")
+			return fail(fmt.Errorf("core: ScheduleOptions needs Clusters or Sizes"))
 		}
 		spec, err = search.BalancedSpec(s.net.Switches(), opts.Clusters)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 	searcher := opts.Searcher
@@ -234,11 +238,11 @@ func (s *System) Schedule(ctx context.Context, opts ScheduleOptions) (*Schedule,
 	}
 	res, err := searcher.Search(ctx, s.eval, spec, rand.New(rand.NewSource(opts.Seed)))
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	q, err := s.Evaluate(res.Best)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	if key != "" {
 		runstate.RecordCtx(ctx, key, scheduleUnit{
@@ -440,6 +444,7 @@ func (s *System) SimulateSweepMany(ctx context.Context, ps []*mapping.Partition,
 		return nil
 	})
 	if err != nil {
+		sp.End(obs.F("err", true))
 		return nil, err
 	}
 	sp.End()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -91,6 +92,85 @@ func TestFailedNewSystemEndsSpan(t *testing.T) {
 		}
 		if !failed {
 			t.Fatalf("failed core.characterize span lacks err=true: %+v", sp.Fields)
+		}
+	}
+}
+
+// TestFailedRunsEndSpans: a cancelled simulation, sweep, sweep batch or
+// Tabu search and a rejected schedule still record their spans, marked
+// err=true, so a failed job's trace keeps them as the parents of the work
+// they started.
+func TestFailedRunsEndSpans(t *testing.T) {
+	sys, err := NewSystem(net16(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sys.RandomMapping(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern, err := sys.IntraClusterPattern(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := search.BalancedSpec(16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := &obs.Memory{}
+	obs.SetSink(mem)
+	defer obs.SetSink(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := simnet.Config{WarmupCycles: 100, MeasureCycles: 400, Seed: 1}
+	sim, err := simnet.New(sys.Network(), sys.Routing(), pattern, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunContext(ctx); err == nil {
+		t.Error("cancelled RunContext succeeded")
+	}
+	if _, err := sys.SimulateSweep(ctx, p, cfg, []float64{0.1, 0.2}); err == nil {
+		t.Error("cancelled SimulateSweep succeeded")
+	}
+	if _, err := sys.SimulateSweepMany(ctx, []*mapping.Partition{p, p}, cfg, []float64{0.1}); err == nil {
+		t.Error("cancelled SimulateSweepMany succeeded")
+	}
+	if _, err := sys.Schedule(nil, ScheduleOptions{Clusters: 0}); err == nil {
+		t.Error("Schedule without clusters succeeded")
+	}
+	if _, err := sys.Schedule(ctx, ScheduleOptions{Clusters: 4}); err == nil {
+		t.Error("cancelled Schedule succeeded")
+	}
+	tb := search.NewTabu()
+	tb.Parallel = true
+	if _, err := tb.SearchObjective(ctx, sys.Evaluator(), spec, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("cancelled SearchObjective succeeded")
+	}
+	for name, want := range map[string]int{
+		"simnet.run":               1,
+		"simnet.sweep":             1,
+		"core.simulate_sweep_many": 1,
+		"core.schedule":            2, // no clusters, then cancelled
+		"search.tabu":              2, // Search under Schedule, SearchObjective
+	} {
+		var spans []obs.Record
+		for _, r := range mem.ByName(name) {
+			if r.Kind == "span" {
+				spans = append(spans, r)
+			}
+		}
+		if len(spans) != want {
+			t.Errorf("%s: %d spans recorded, want %d", name, len(spans), want)
+		}
+		for _, sp := range spans {
+			failed := false
+			for _, f := range sp.Fields {
+				failed = failed || f.Key == "err" && f.Value == true
+			}
+			if !failed {
+				t.Errorf("%s span lacks err=true: %+v", name, sp.Fields)
+			}
 		}
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"commsched/internal/mapping"
 	"commsched/internal/topology"
 )
 
@@ -135,5 +138,37 @@ func TestTabuObjectivePathMatchesSearch(t *testing.T) {
 			t.Errorf("%s: counters differ: %d/%d vs %d/%d",
 				label, rs.Evaluations, rs.Iterations, ro.Evaluations, ro.Iterations)
 		}
+	}
+}
+
+// panickyObjective delegates to an Objective but panics on the panicAt-th
+// IntraSum call — the start of one restart.
+type panickyObjective struct {
+	Objective
+	calls   atomic.Int64
+	panicAt int64
+}
+
+func (o *panickyObjective) IntraSum(p *mapping.Partition) float64 {
+	if o.calls.Add(1) == o.panicAt {
+		panic("objective failed")
+	}
+	return o.Objective.IntraSum(p)
+}
+
+// TestTabuParallelRestartPanicIsError: a panic inside one parallel
+// restart comes back as the search's error instead of crashing the
+// process.
+func TestTabuParallelRestartPanicIsError(t *testing.T) {
+	net, err := topology.RandomIrregular(16, 3, rand.New(rand.NewSource(3)), topology.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := &panickyObjective{Objective: evalFor(t, net), panicAt: 3}
+	tb := NewTabu()
+	tb.Parallel = true
+	res, err := tb.SearchObjective(nil, obj, spec(t, 16, 4), rand.New(rand.NewSource(17)))
+	if err == nil || !strings.Contains(err.Error(), "objective failed") {
+		t.Fatalf("SearchObjective = %v, %v; want the restart's panic as an error", res, err)
 	}
 }

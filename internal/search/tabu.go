@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"commsched/internal/mapping"
 	"commsched/internal/obs"
+	"commsched/internal/par"
 	"commsched/internal/quality"
 )
 
@@ -76,6 +75,7 @@ func (t *Tabu) Search(ctx context.Context, e *quality.Evaluator, spec Spec, rng 
 		return e.Similarity(p)
 	})
 	if err != nil {
+		sp.End(obs.F("err", true))
 		return nil, err
 	}
 	res = finishResult(e, res)
@@ -94,6 +94,7 @@ func (t *Tabu) SearchObjective(ctx context.Context, obj Objective, spec Spec, rn
 	sp, sctx := obs.StartSpanCtx(orBackground(ctx), "search.tabu", obs.F("restarts", t.Restarts), obs.F("parallel", t.Parallel))
 	res, err := t.searchObjective(sctx, obj, spec, rng, nil)
 	if err != nil {
+		sp.End(obs.F("err", true))
 		return nil, err
 	}
 	sp.End(obs.F("best", res.BestIntraSum), obs.F("evaluations", res.Evaluations), obs.F("iterations", res.Iterations))
@@ -307,56 +308,33 @@ func (t *Tabu) runRestart(ctx context.Context, obj Objective, p *mapping.Partiti
 	return nil
 }
 
-// searchParallel fans the restarts across GOMAXPROCS workers. It runs the
+// searchParallel runs the restarts on par.Local's workers. It runs the
 // exact per-restart procedure of the sequential path on the same pre-drawn
 // seeds and merges in restart order, so the outcome is identical to the
-// sequential run regardless of scheduling. A worker panic is recovered
-// into a returned error.
+// sequential run regardless of scheduling. A restart's error, a
+// cancellation or a recovered panic stops the remaining restarts and is
+// returned.
 func (t *Tabu) searchParallel(ctx context.Context, obj Objective, spec Spec, rng *rand.Rand) (*Result, error) {
 	if t.RecordTrace {
 		return nil, fmt.Errorf("search: Tabu trace recording is not supported with Parallel")
 	}
 	seeds := restartSeeds(rng, t.Restarts)
 	results := make([]*Result, t.Restarts)
-	errs := make([]error, t.Restarts)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > t.Restarts {
-		workers = t.Restarts
-	}
-	var wg sync.WaitGroup
-	var next, finished atomic.Int64
-	var panicked atomic.Pointer[error]
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					err := fmt.Errorf("search: tabu worker panic: %v", r)
-					panicked.CompareAndSwap(nil, &err)
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= t.Restarts {
-					return
-				}
-				iter := 0
-				results[i], errs[i] = t.runSeededRestart(ctx, obj, spec, seeds[i], i, &iter, nil)
-				obs.Progress("search.tabu", finished.Add(1), int64(t.Restarts))
-			}
-		}()
-	}
-	wg.Wait()
-	if errp := panicked.Load(); errp != nil {
-		return nil, *errp
+	var finished atomic.Int64
+	noState := func() struct{} { return struct{}{} }
+	err := par.Local(ctx, t.Restarts, noState, func(ctx context.Context, _ struct{}, i int) error {
+		iter := 0
+		res, err := t.runSeededRestart(ctx, obj, spec, seeds[i], i, &iter, nil)
+		results[i] = res
+		obs.Progress("search.tabu", finished.Add(1), int64(t.Restarts))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	merged := &Result{}
-	for i := range results {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		mergeResult(merged, results[i])
+	for _, res := range results {
+		mergeResult(merged, res)
 	}
 	return merged, nil
 }

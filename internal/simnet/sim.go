@@ -33,13 +33,40 @@
 // a map. Messages live in a recycled arena too — a flit holds a message
 // index, not a pointer — so the steady state of a run allocates nothing.
 // Admissible-continuation candidate lists are precomputed per
-// (switch, destination switch, routing phase), and a per-switch worklist
-// of non-empty buffers lets route allocation and flit transfer touch only
-// buffers with work. The results are bit-identical to the original
-// pointer-and-map implementation: the math/rand draw order (one Bernoulli
-// draw per host per cycle, then destination and size draws) and every
-// rotating arbitration scan are preserved exactly; see DESIGN.md for the
-// draw-order contract.
+// (switch, destination switch, routing phase). The results are
+// bit-identical to the original pointer-and-map implementation: the
+// math/rand draw order (one Bernoulli draw per host per cycle, then
+// destination and size draws) and every rotating arbitration scan are
+// preserved exactly; see DESIGN.md for the draw-order contract.
+//
+// # Event-driven arbitration
+//
+// Each cycle, route allocation scans only the switches whose wake flag is
+// set, and flit transfer visits only each switch's list of routed buffers:
+// non-empty buffers whose head message holds a route.
+//
+// A scan gives a waiting header a route exactly when some live admissible
+// continuation has a free virtual channel; the cycle-rotating offset only
+// picks which one. It drops the header exactly when every continuation is
+// dead. Both depend only on the header's message (destination and routing
+// phase), the owners of the virtual channels on links leaving the switch,
+// and the dead flags of those links. A header that a scan left waiting
+// therefore waits until one of these changes, and the switch's flag is set
+// wherever one can:
+//
+//   - a virtual channel on a link leaving the switch is released
+//     (releaseHead, loseMessage);
+//   - a link at the switch fails or is repaired;
+//   - a header reaches the head of one of its buffers (generate into an
+//     empty source queue, popHead exposing the next message, forward of a
+//     header flit, or a loseMessage purge).
+//
+// So a scan the flag skips would have routed and dropped nothing. The
+// transfer pass still gives each output port to the requesting input with
+// the lowest rotating rank; only the order of the moves within a switch
+// differs, which changes the order of latency samples (sorted before use),
+// integer sums, and which recycled arena slot a new message gets (slots
+// are only compared for equality).
 package simnet
 
 import (
@@ -252,9 +279,9 @@ type buffer struct {
 	// idx is this buffer's position within inputs[atSwitch] — the
 	// rotating-arbitration rank base.
 	idx int32
-	// activePos is this buffer's position within active[atSwitch], -1
-	// while the buffer is empty.
-	activePos int32
+	// routedPos is this buffer's position within routed[atSwitch], -1
+	// while the buffer is empty or its head message has no route.
+	routedPos int32
 }
 
 func (b *buffer) len() int { return len(b.q) - b.head }
@@ -298,9 +325,15 @@ type Simulator struct {
 	// queues of s's hosts, in construction order.
 	bufs   []buffer
 	inputs [][]int32
-	// active[s] lists the currently non-empty buffers of switch s
-	// (unordered; each buffer records its position for O(1) removal).
-	active [][]int32
+	// routed[s] lists the buffers of switch s that are non-empty and whose
+	// head message holds a route — the only ones the transfer pass can
+	// move (unordered; each buffer records its position for O(1) removal).
+	routed [][]int32
+	// wake[s] is set when something that can unblock a waiting header at
+	// s has happened since route allocation last scanned s: a virtual
+	// channel of a link leaving s was released, a link at s failed or was
+	// repaired, or a header reached the head of one of s's buffers.
+	wake []bool
 	// srcQueues lists every source-queue buffer in (switch, host) order —
 	// the injection scan order, which fixes the rng draw order.
 	srcQueues []int32
@@ -372,7 +405,8 @@ func New(net *topology.Network, rt *routing.UpDown, pattern traffic.Pattern, cfg
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		inputs:      make([][]int32, n),
-		active:      make([][]int32, n),
+		routed:      make([][]int32, n),
+		wake:        make([]bool, n),
 		switchPorts: make([][]int32, n),
 	}
 	// Directed links get dense IDs in Links() order (A→B then B→A), and
@@ -428,7 +462,7 @@ func New(net *topology.Network, rt *routing.UpDown, pattern traffic.Pattern, cfg
 func (s *Simulator) addBuffer(b buffer) int32 {
 	bid := int32(len(s.bufs))
 	b.owner, b.route, b.routedMsg = none, none, none
-	b.activePos = -1
+	b.routedPos = -1
 	b.idx = int32(len(s.inputs[b.atSwitch]))
 	s.bufs = append(s.bufs, b)
 	s.inputs[b.atSwitch] = append(s.inputs[b.atSwitch], bid)
@@ -521,6 +555,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Metrics, error) {
 	for c := 0; c < total; c++ {
 		if c%256 == 0 {
 			if err := ctx.Err(); err != nil {
+				sp.End(obs.F("err", true))
 				return Metrics{}, fmt.Errorf("simnet: run cancelled at cycle %d: %w", s.cycle, err)
 			}
 		}
@@ -584,6 +619,8 @@ func (s *Simulator) processLinkEvents() {
 	for s.eventIdx < len(s.events) && s.events[s.eventIdx].cycle <= s.cycle {
 		ev := s.events[s.eventIdx]
 		s.eventIdx++
+		s.wake[s.linkDir[ev.d1].from] = true
+		s.wake[s.linkDir[ev.d2].from] = true
 		if !ev.down {
 			s.deadLink[ev.d1] = false
 			s.deadLink[ev.d2] = false
@@ -615,13 +652,21 @@ func (s *Simulator) loseMessage(mi int32) {
 		in := &s.bufs[bid]
 		if in.routedMsg == mi {
 			in.route, in.sink, in.routedMsg = none, false, none
+			s.delist(bid)
 		}
 		if in.owner == mi {
 			in.owner = none
+			s.wake[s.linkDir[in.linkID].from] = true
 		}
 		if in.len() == 0 {
 			continue
 		}
+		// Known defect: the compaction writes in place even when nothing
+		// is removed, and then keeps head. With more live flits than
+		// head, that rewrites the queue: its first `head` live flits are
+		// lost and its last `head` doubled. Fixing it changes the output
+		// of runs that hit it (the full-scale resilience figure does), so
+		// it waits for its own change.
 		w, removed := 0, 0
 		for r := in.head; r < len(in.q); r++ {
 			if in.q[r].msg == mi {
@@ -637,9 +682,13 @@ func (s *Simulator) loseMessage(mi int32) {
 			if in.srcHost >= 0 {
 				s.srcQueueFlits -= int64(removed)
 			}
-			if w == 0 {
-				s.deactivate(bid)
-			}
+		}
+		if w == 0 {
+			s.delist(bid)
+		} else {
+			// A different flit may now lead the queue: let route
+			// allocation look at it.
+			s.wake[in.atSwitch] = true
 		}
 	}
 	if s.measuring {
@@ -739,14 +788,13 @@ func (s *Simulator) generate() {
 		m.descending = false
 		m.lost = false
 		m.bufs = append(m.bufs[:0], bid)
-		wasEmpty := in.len() == 0
+		if in.len() == 0 {
+			s.wake[in.atSwitch] = true
+		}
 		for seq := int32(0); seq < size; seq++ {
 			in.push(flit{msg: mi, seq: seq})
 		}
 		s.srcQueueFlits += int64(size)
-		if wasEmpty {
-			s.activate(bid)
-		}
 		if s.measuring {
 			s.metrics.generatedMessages++
 			s.metrics.offeredFlits += int64(size)
@@ -754,67 +802,76 @@ func (s *Simulator) generate() {
 	}
 }
 
-// activate adds a buffer to its switch's worklist (idempotent).
-func (s *Simulator) activate(bid int32) {
+// enlist adds a non-empty buffer whose head message holds a route to its
+// switch's routed list (idempotent).
+func (s *Simulator) enlist(bid int32) {
 	b := &s.bufs[bid]
-	if b.activePos >= 0 {
+	if b.routedPos >= 0 {
 		return
 	}
-	lst := s.active[b.atSwitch]
-	b.activePos = int32(len(lst))
-	s.active[b.atSwitch] = append(lst, bid)
+	lst := s.routed[b.atSwitch]
+	b.routedPos = int32(len(lst))
+	s.routed[b.atSwitch] = append(lst, bid)
 }
 
-// deactivate removes a (now empty) buffer from its switch's worklist by
-// swap-removal.
-func (s *Simulator) deactivate(bid int32) {
+// delist removes a buffer that emptied or lost its route from its
+// switch's routed list by swap-removal (idempotent).
+func (s *Simulator) delist(bid int32) {
 	b := &s.bufs[bid]
-	pos := b.activePos
+	pos := b.routedPos
 	if pos < 0 {
 		return
 	}
-	lst := s.active[b.atSwitch]
+	lst := s.routed[b.atSwitch]
 	last := lst[len(lst)-1]
 	lst[pos] = last
-	s.bufs[last].activePos = pos
-	s.active[b.atSwitch] = lst[:len(lst)-1]
-	b.activePos = -1
+	s.bufs[last].routedPos = pos
+	s.routed[b.atSwitch] = lst[:len(lst)-1]
+	b.routedPos = -1
 }
 
 // allocateRoutes lets unrouted header flits at buffer heads acquire an
 // output virtual channel (or the ejection port). Allocation order rotates
-// per switch to avoid structural starvation; switches with no pending work
-// are skipped entirely, and the rotating scan checks the worklist flag
-// before touching a buffer's queue.
+// per switch to avoid structural starvation. Only switches whose wake flag
+// is set are scanned: a skipped scan would route and drop nothing (see
+// the package comment), so skipping it changes no outcome. The flag is
+// cleared before the scan, so a header that a stranded worm's purge
+// exposes during it is scanned next cycle, as before.
 func (s *Simulator) allocateRoutes() {
-	for sw := 0; sw < len(s.inputs); sw++ {
-		if len(s.active[sw]) == 0 {
+	for sw, ins := range s.inputs {
+		if !s.wake[sw] {
 			continue
 		}
-		ins := s.inputs[sw]
+		s.wake[sw] = false
 		n := len(ins)
-		start := int(s.cycle % int64(n))
+		i := int(s.cycle % int64(n))
 		for k := 0; k < n; k++ {
-			in := &s.bufs[ins[(start+k)%n]]
-			if in.activePos < 0 {
-				continue // empty
+			bid := ins[i]
+			if i++; i == n {
+				i = 0
+			}
+			in := &s.bufs[bid]
+			if in.len() == 0 {
+				continue
 			}
 			f := in.q[in.head]
 			if f.seq != 0 || in.routedMsg == f.msg {
 				continue
 			}
-			s.routeHeader(sw, in, f.msg)
+			s.routeHeader(sw, bid, f.msg)
 		}
 	}
 }
 
 // routeHeader tries to reserve the next channel for the message whose
-// header sits at the head of `in` at switch sw. The candidate continuation
-// links are precomputed per (switch, destination, phase).
-func (s *Simulator) routeHeader(sw int, in *buffer, mi int32) {
+// header sits at the head of buffer inID at switch sw. The candidate
+// continuation links are precomputed per (switch, destination, phase).
+func (s *Simulator) routeHeader(sw int, inID, mi int32) {
 	m := &s.msgs[mi]
 	if int32(sw) == m.dstSwitch {
+		in := &s.bufs[inID]
 		in.route, in.sink, in.routedMsg = none, true, mi
+		s.enlist(inID)
 		return
 	}
 	phase := 0
@@ -836,7 +893,7 @@ func (s *Simulator) routeHeader(sw int, in *buffer, mi int32) {
 		}
 		bid := s.linkVCs[lid][0]
 		if s.admissible(bid, m) {
-			s.acquire(in, bid, mi, m)
+			s.acquire(inID, bid, mi, m)
 		}
 		return
 	}
@@ -854,7 +911,7 @@ func (s *Simulator) routeHeader(sw int, in *buffer, mi int32) {
 		for vi := 0; vi < len(vcs); vi++ {
 			bid := vcs[(vi+off)%len(vcs)]
 			if s.admissible(bid, m) {
-				s.acquire(in, bid, mi, m)
+				s.acquire(inID, bid, mi, m)
 				// The descending state must change only when the flit
 				// actually moves; the phase commits in forward.
 				return
@@ -881,16 +938,18 @@ func (s *Simulator) admissible(bid int32, m *message) bool {
 	return true
 }
 
-// acquire reserves the downstream VC buffer for mi and records it on the
-// message's residency trail.
-func (s *Simulator) acquire(in *buffer, bid, mi int32, m *message) {
+// acquire reserves the downstream VC buffer bid for mi, routes buffer
+// inID to it and records it on the message's residency trail.
+func (s *Simulator) acquire(inID, bid, mi int32, m *message) {
 	s.bufs[bid].owner = mi
+	in := &s.bufs[inID]
 	in.route, in.sink, in.routedMsg = bid, false, mi
+	s.enlist(inID)
 	m.bufs = append(m.bufs, bid)
 }
 
 // transferFlits moves at most one flit per output port. For each switch it
-// makes one pass over the active buffers to find, per requested port, the
+// makes one pass over the routed buffers to find, per requested port, the
 // input with the best rotating-arbitration rank, then executes the moves.
 // This is equivalent to the per-port rotating scan because, within one
 // switch's pass, the request set is fixed: pushes into this switch come
@@ -898,31 +957,28 @@ func (s *Simulator) acquire(in *buffer, bid, mi int32, m *message) {
 // requests exactly one port, and a served buffer either keeps requesting
 // the port it already used or stops requesting (tail departed).
 func (s *Simulator) transferFlits() {
-	for sw := 0; sw < len(s.inputs); sw++ {
-		act := s.active[sw]
-		if len(act) == 0 {
+	for sw, routed := range s.routed {
+		if len(routed) == 0 {
 			continue
 		}
 		n := int32(len(s.inputs[sw]))
 		start := int32(s.cycle % int64(n))
 		req := s.reqPorts[:0]
-		for _, bid := range act {
+		for _, bid := range routed {
 			in := &s.bufs[bid]
 			f := in.q[in.head]
 			if in.routedMsg != f.msg {
-				continue
+				continue // a head left behind by a purge that rewrote the queue
 			}
 			var pid int32
 			if in.sink {
 				pid = s.portOfHost[s.msgs[f.msg].dst]
-			} else if in.route != none {
+			} else {
 				rb := &s.bufs[in.route]
 				if rb.full() {
 					continue
 				}
 				pid = s.portOfLink[rb.linkID]
-			} else {
-				continue
 			}
 			rank := in.idx - start
 			if rank < 0 {
@@ -953,26 +1009,33 @@ func (s *Simulator) transferFlits() {
 }
 
 // popHead removes the head flit of buffer bid, maintaining the queue
-// occupancy total and the worklist.
+// occupancy total and the routed list, and wakes the switch when the next
+// message's header comes to the head of a source queue.
 func (s *Simulator) popHead(bid int32, in *buffer) {
 	in.pop()
 	if in.srcHost >= 0 {
 		s.srcQueueFlits--
 	}
 	if in.len() == 0 {
-		s.deactivate(bid)
+		s.delist(bid)
+	} else if in.q[in.head].seq == 0 {
+		s.wake[in.atSwitch] = true
 	}
 }
 
-// forward moves the head flit of `in` into its routed downstream VC.
+// forward moves the head flit of `in` into its routed downstream VC. A
+// header wakes the downstream switch; a body flit reaching an empty,
+// already routed buffer puts it back on the routed list.
 func (s *Simulator) forward(bid int32, in *buffer, f flit) {
 	route := in.route
 	dst := &s.bufs[route]
 	s.popHead(bid, in)
-	wasEmpty := dst.len() == 0
 	dst.push(f)
-	if wasEmpty {
-		s.activate(route)
+	if dst.routedMsg != none {
+		s.enlist(route)
+	}
+	if f.seq == 0 {
+		s.wake[dst.atSwitch] = true
 	}
 	if s.measuring {
 		s.linkFlits[dst.linkID]++
@@ -988,7 +1051,7 @@ func (s *Simulator) forward(bid int32, in *buffer, f flit) {
 		}
 	}
 	if f.seq == m.size-1 {
-		s.releaseHead(in)
+		s.releaseHead(bid, in)
 	}
 }
 
@@ -1007,7 +1070,7 @@ func (s *Simulator) deliver(bid int32, in *buffer, f flit) {
 		s.metrics.deliveredFlits++
 	}
 	if f.seq == m.size-1 {
-		s.releaseHead(in)
+		s.releaseHead(bid, in)
 		if s.measuring && m.created >= s.metrics.measureStart {
 			s.metrics.deliveredMessages++
 			s.metrics.totalLatency += s.cycle - m.injected
@@ -1021,13 +1084,16 @@ func (s *Simulator) deliver(bid int32, in *buffer, f flit) {
 	}
 }
 
-// releaseHead clears the routing state of `in` after a tail departs and
-// frees the VC ownership when `in` is a virtual-channel buffer.
-func (s *Simulator) releaseHead(in *buffer) {
+// releaseHead clears the routing state of buffer bid (in) after a tail
+// departs. When bid is a virtual-channel buffer it frees the ownership and
+// wakes the switch upstream of the channel, where headers may wait for it.
+func (s *Simulator) releaseHead(bid int32, in *buffer) {
 	if in.srcHost < 0 {
 		in.owner = none
+		s.wake[s.linkDir[in.linkID].from] = true
 	}
 	in.route, in.sink, in.routedMsg = none, false, none
+	s.delist(bid)
 }
 
 // Drain stops injection and keeps switching until the network empties or

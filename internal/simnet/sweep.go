@@ -104,6 +104,7 @@ func Sweep(ctx context.Context, net *topology.Network, rt *routing.UpDown, patte
 		return nil
 	})
 	if err != nil {
+		sp.End(obs.F("err", true))
 		return nil, err
 	}
 	// Units that failed permanently but stayed within the error budget
