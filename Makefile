@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-perf bench-diff figs figs-quick cover vet clean
+.PHONY: all build test race bench bench-gate figs figs-quick cover vet clean
 
 all: build test
 
@@ -21,43 +21,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# One pass over every benchmark (repro suite + obs overhead probes),
-# archived as machine-readable JSON — a regression record, no thresholds.
-bench-json:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/obs > bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_obs.json bench.out
-	rm -f bench.out
-
-# Refresh the post-flat-core baseline (the bench-diff reference).
-bench-perf:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/obs > bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_perf.json bench.out
-	rm -f bench.out
-
-# Threshold gate: re-run the benchmarks and fail when ns/op or allocs/op
-# regress beyond BENCH_THRESHOLD against the committed baseline. The
-# single-pass runs are noisy, so the default tolerance is generous; on a
-# failure the fresh report is left in bench_new.json for inspection.
-#
-# The tight gate is restricted to the repro-suite benchmarks (root
-# package, '^commsched\.'); the same fresh report is then diffed against
-# BENCH_obs.json, restricted to the observability-overhead probes
-# (internal/obs), so an emission-path regression fails the gate exactly
-# like a simulator regression. The obs probes are nanosecond-scale and a
-# 1x pass times a single iteration, so their ns/op tolerance is wider;
-# allocs/op (the real overhead signal — the disabled path must stay at
-# zero) is gated by the same number but is noise-free.
-BENCH_BASE ?= BENCH_perf.json
-BENCH_OBS_BASE ?= BENCH_obs.json
-BENCH_THRESHOLD ?= 0.5
-BENCH_OBS_THRESHOLD ?= 2.0
-bench-diff:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' . ./internal/obs > bench.out
-	$(GO) run ./cmd/benchjson -o bench_new.json bench.out
-	rm -f bench.out
-	$(GO) run ./cmd/benchjson compare -threshold $(BENCH_THRESHOLD) -filter '^commsched\.' $(BENCH_BASE) bench_new.json
-	$(GO) run ./cmd/benchjson compare -threshold $(BENCH_OBS_THRESHOLD) -filter 'internal/obs' $(BENCH_OBS_BASE) bench_new.json
-	rm -f bench_new.json
+# Benchmark gate: build the layer benchmarks of BASE (a git revision;
+# the default HEAD compares a dirty tree with its last commit) in a git
+# worktree and of the working tree, run both sides alternately on this
+# machine, and fail when a median ns/op or allocs/op is significantly
+# worse. The benchmark list, rounds and thresholds are constants in
+# cmd/benchjson/gate.go; the record is written to .bench_gate/gate.json.
+BASE ?= HEAD
+bench-gate:
+	$(GO) run ./cmd/benchjson gate $(BASE)
 
 figs:
 	$(GO) run ./cmd/paperfigs

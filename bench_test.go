@@ -34,7 +34,6 @@ import (
 	"commsched/internal/metatask"
 	"commsched/internal/procsched"
 	"commsched/internal/routing"
-	"commsched/internal/search"
 	"commsched/internal/simnet"
 	"commsched/internal/topology"
 	"commsched/internal/traffic"
@@ -365,81 +364,6 @@ func BenchmarkAblationVirtualChannels(b *testing.B) {
 			b.ReportMetric(acc, "accepted-traffic")
 		})
 	}
-}
-
-// BenchmarkDistanceTable times the substrate characterization step alone
-// (table construction dominates system setup).
-func BenchmarkDistanceTable(b *testing.B) {
-	net, err := experiments.Network16()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ud, err := routing.NewUpDown(net, -1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := distance.Compute(net, ud); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTabuSearch16 times one full Tabu run (10 restarts) on the
-// canonical instance.
-func BenchmarkTabuSearch16(b *testing.B) {
-	net, err := experiments.Network16()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := core.NewSystem(net, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec, err := search.BalancedSpec(16, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := search.NewTabu().Search(nil, sys.Evaluator(), spec, rand.New(rand.NewSource(42))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulatorCycles times raw simulation speed in cycles/op on the
-// 16-switch network at moderate load. The op includes simulator
-// construction; see BenchmarkSimulatorSteadyState for the bare cycle loop.
-func BenchmarkSimulatorCycles(b *testing.B) {
-	net, err := experiments.Network16()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := core.NewSystem(net, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := sys.RandomMapping(4, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := simnet.Config{
-		InjectionRate: 0.2, WarmupCycles: 0, MeasureCycles: 2000, Seed: 3,
-	}
-	var flits int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := sys.Simulate(p, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		flits += m.DeliveredFlits
-	}
-	b.SetBytes(0)
-	b.ReportMetric(float64(cfg.WarmupCycles+cfg.MeasureCycles), "cycles/op")
-	b.ReportMetric(float64(flits)/float64(b.N), "flits/op")
 }
 
 // BenchmarkSimulatorSteadyState times the simulation loop alone: the

@@ -1,21 +1,28 @@
 // Command benchjson converts `go test -bench` text output into a stable
-// JSON document, so benchmark runs can be archived as machine-readable
-// artifacts (see `make bench-json` and the CI bench job), and diffs two
-// such documents as a threshold gate:
+// JSON document, compares two such documents, and runs the repository's
+// benchmark gate:
 //
-//	go test -bench=. -benchmem -run '^$' . | benchjson -o BENCH.json
-//	benchjson -o BENCH.json bench.out
-//	benchjson compare -threshold 0.15 old.json new.json
+//	go test -bench=. -benchmem -run '^$' -count 10 . | benchjson -o new.json
+//	benchjson compare old.json new.json
+//	benchjson gate HEAD          # what `make bench-gate BASE=HEAD` runs
 //
 // Every benchmark line is parsed into its name, GOMAXPROCS suffix,
 // iteration count, and the full set of value/unit metric pairs —
 // including the custom b.ReportMetric quantities the repro benchmarks
-// emit (throughput gains, correlations, Cc), not just ns/op.
+// emit (throughput gains, correlations, Cc), not just ns/op. A
+// non-finite value (NaN, ±Inf) has no JSON encoding, so its pair is
+// dropped and counted instead of failing the whole report.
 //
-// The compare subcommand reports per-benchmark ns/op and allocs/op
-// deltas between an old and a new report (matched by package + name) and
-// exits nonzero when any tracked metric regresses by more than the
-// threshold fraction — see `make bench-diff`.
+// compare groups each report's lines per benchmark, one sample per
+// `-count` repetition, and fails only when the new median ns/op or
+// allocs/op is worse than the old by more than a minimum effect and a
+// one-sided Mann-Whitney U test finds the slowdown significant (see
+// compare.go).
+//
+// gate builds the layer benchmarks of a base revision (checked out in a
+// git worktree) and of the working tree, runs both sides alternately on
+// this machine, and compares them the same way (see gate.go for the
+// benchmark list, the round count and the thresholds).
 package main
 
 import (
@@ -24,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -44,21 +52,33 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// Report is the whole run.
+// Report is the whole run. A benchmark run with -count N appears N times.
 type Report struct {
 	GoOS       string      `json:"goos,omitempty"`
 	GoArch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+	// Dropped counts the value/unit pairs left out because their value
+	// was NaN or infinite.
+	Dropped int `json:"dropped,omitempty"`
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		code, err := runCompare(os.Args[2:], os.Stdout)
-		if err != nil {
-			fatal(err)
+	if len(os.Args) > 1 {
+		var run func([]string, io.Writer) (int, error)
+		switch os.Args[1] {
+		case "compare":
+			run = runCompare
+		case "gate":
+			run = runGate
 		}
-		os.Exit(code)
+		if run != nil {
+			code, err := run(os.Args[2:], os.Stdout)
+			if err != nil {
+				fatal(err)
+			}
+			os.Exit(code)
+		}
 	}
 	out := flag.String("o", "", "write JSON here instead of stdout")
 	flag.Parse()
@@ -76,24 +96,35 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if rep.Dropped > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: dropped %d non-finite metric value(s)\n", rep.Dropped)
+	}
+	if err := writeJSON(*out, rep); err != nil {
 		fatal(err)
 	}
-	data = append(data, '\n')
-	if *out == "" {
-		os.Stdout.Write(data)
-		return
+	if *out != "" {
+		fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchjson:", err)
 	os.Exit(1)
+}
+
+// writeJSON writes v as indented JSON with a trailing newline to path,
+// or to standard output when path is empty.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if path == "" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }
 
 // parse reads `go test -bench` output. Context lines (goos/goarch/cpu/
@@ -116,10 +147,11 @@ func parse(r io.Reader) (*Report, error) {
 		case strings.HasPrefix(line, "pkg: "):
 			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "Benchmark"):
-			b, ok := parseBenchLine(line)
+			b, dropped, ok := parseBenchLine(line)
 			if ok {
 				b.Pkg = pkg
 				rep.Benchmarks = append(rep.Benchmarks, b)
+				rep.Dropped += dropped
 			}
 		}
 	}
@@ -133,19 +165,20 @@ func parse(r io.Reader) (*Report, error) {
 //
 //	BenchmarkName-8   	     100	  11843 ns/op	  0.8021 Cc	  16 B/op
 //
-// Returns ok=false for lines that merely start with "Benchmark" but are
-// not results (e.g. a benchmark's own log output).
-func parseBenchLine(line string) (Benchmark, bool) {
+// It returns the number of non-finite pairs it left out, and ok=false
+// for lines that merely start with "Benchmark" but are not results
+// (e.g. a benchmark's own log output).
+func parseBenchLine(line string) (b Benchmark, dropped int, ok bool) {
 	fields := strings.Fields(line)
 	// name, iterations, then value/unit pairs.
 	if len(fields) < 4 || len(fields)%2 != 0 {
-		return Benchmark{}, false
+		return Benchmark{}, 0, false
 	}
 	iters, err := strconv.Atoi(fields[1])
 	if err != nil {
-		return Benchmark{}, false
+		return Benchmark{}, 0, false
 	}
-	b := Benchmark{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+	b = Benchmark{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
 	// Split a trailing -N GOMAXPROCS suffix off the name. Sub-benchmark
 	// names can contain dashes, so only a pure-digit suffix counts.
 	if i := strings.LastIndex(b.Name, "-"); i > 0 {
@@ -156,9 +189,13 @@ func parseBenchLine(line string) (Benchmark, bool) {
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Benchmark{}, false
+			return Benchmark{}, 0, false
+		}
+		if math.IsNaN(val) || math.IsInf(val, 0) {
+			dropped++
+			continue
 		}
 		b.Metrics[fields[i+1]] = val
 	}
-	return b, true
+	return b, dropped, true
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ goarch: amd64
 pkg: commsched
 cpu: AMD EPYC 7B13
 BenchmarkFig1TabuTrace-8   	     100	    118430 ns/op	   0.8021 Cc	      16 B/op	       2 allocs/op
-BenchmarkSimulatorCycles-8 	       2	 512000000 ns/op
+BenchmarkSimulatorRun-8    	       2	 512000000 ns/op
 BenchmarkSub/case-a-8      	      10	      1000 ns/op
 Benchmark log line that is not a result
 PASS
@@ -70,4 +71,40 @@ func TestParseSkipsNonResultLines(t *testing.T) {
 	if len(rep.Benchmarks) != 0 {
 		t.Fatalf("non-result lines parsed as benchmarks: %+v", rep.Benchmarks)
 	}
+}
+
+// TestParseDropsNonFinite: a NaN or infinite metric is dropped and
+// counted, and the rest of its line and of the report survive.
+func TestParseDropsNonFinite(t *testing.T) {
+	rep, err := parse(strings.NewReader("BenchmarkX-2 10 100 ns/op NaN r-low\nBenchmarkY-2 10 +Inf ns/op 3 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Dropped != 2 || len(rep.Benchmarks) != 2 {
+		t.Fatalf("dropped %d of %d benchmarks, want 2 of 2: %+v", rep.Dropped, len(rep.Benchmarks), rep)
+	}
+	x, y := rep.Benchmarks[0].Metrics, rep.Benchmarks[1].Metrics
+	if len(x) != 1 || x["ns/op"] != 100 || len(y) != 1 || y["allocs/op"] != 3 {
+		t.Fatalf("finite metrics lost: %v, %v", x, y)
+	}
+	if _, err := json.Marshal(rep); err != nil {
+		t.Fatalf("report does not encode: %v", err)
+	}
+}
+
+// FuzzParse: parse never panics, and every report it returns encodes
+// as JSON. The committed corpus holds real -count output with custom
+// metrics, a NaN metric, a torn last line and a sub-benchmark name
+// ending in -N.
+func FuzzParse(f *testing.F) {
+	f.Add(sample)
+	f.Fuzz(func(t *testing.T, in string) {
+		rep, err := parse(strings.NewReader(in))
+		if err != nil {
+			return // a line past the scanner's limit
+		}
+		if _, err := json.Marshal(rep); err != nil {
+			t.Fatalf("report of %q does not encode: %v", in, err)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -251,6 +252,35 @@ func TestCLISetup(t *testing.T) {
 	}
 	if fi, err := os.Stat(heap); err != nil || fi.Size() == 0 {
 		t.Fatalf("heap profile missing or empty: %v", err)
+	}
+}
+
+// TestDisabledPathsDoNotAllocate: with no sink installed, an
+// Enabled()-guarded Event, StartSpan(...).End() and StartSpanCtx(...)
+// with End() allocate nothing, so instrumentation costs no garbage when
+// tracing is off.
+func TestDisabledPathsDoNotAllocate(t *testing.T) {
+	restoreSink(t)
+	SetSink(nil)
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"guarded Event", func() {
+			if Enabled() {
+				Event("never", F("i", 1))
+			}
+		}},
+		{"StartSpan.End", func() { StartSpan("never").End() }},
+		{"StartSpanCtx.End", func() {
+			sp, _ := StartSpanCtx(ctx, "never")
+			sp.End()
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
+			t.Errorf("%s with no sink: %v allocations per call, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"commsched/internal/topology"
@@ -196,12 +197,13 @@ func (m *Metrics) finalize(cfg Config, net *topology.Network) {
 	}
 }
 
-// percentile returns the nearest-rank percentile of a sorted sample.
+// percentile returns the nearest-rank percentile of a sorted sample:
+// its ⌈q·n⌉-th smallest value.
 func percentile(sorted []int64, q float64) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
 	}

@@ -27,6 +27,11 @@ func TestPercentileNearestRank(t *testing.T) {
 	if percentile([]int64{7}, 0.01) != 7 {
 		t.Fatal("single-sample percentile must return the sample")
 	}
+	// 12 samples at q = 0.95: ⌈11.4⌉ = 12, the largest; rounding 11.4
+	// would return the 11th.
+	if got := percentile([]int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 0.95); got != 12 {
+		t.Fatalf("percentile(0.95) of 1…12 = %d, want 12", got)
+	}
 }
 
 func TestLatencyPercentilesPopulated(t *testing.T) {

@@ -84,7 +84,7 @@ func writeMetrics(h hash.Hash, label string, m Metrics) {
 // known queue rewrite in loseMessage's purge, so fixing that defect moves
 // the hash too.
 func TestSimulatorMetricsPinned(t *testing.T) {
-	const want = "8d44d5e4ecf48b024769ef690526fd7e45ec5caba10f345a2c37dc7fe9346efa"
+	const want = "9e3ff947907e0c35bc25580a64c276d3118ba9680086c6c35f03efa3704e9560"
 	irr, err := topology.RandomIrregular(16, 3, rand.New(rand.NewSource(2000)), topology.Config{})
 	if err != nil {
 		t.Fatal(err)

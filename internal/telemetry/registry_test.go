@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,6 +96,22 @@ func TestWritePrometheusGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("two registries with identical contents produced different expositions")
+	}
+}
+
+// BenchmarkWritePrometheus times one /metrics render of a registry fed
+// the fixed record mixes of feedRegistry and feedLatency: every family,
+// latency histograms included.
+func BenchmarkWritePrometheus(b *testing.B) {
+	g := NewRegistry()
+	feedRegistry(g)
+	feedLatency(b, g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

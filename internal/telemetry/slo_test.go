@@ -13,7 +13,7 @@ import (
 	"commsched/internal/obs"
 )
 
-func mustTrace(t *testing.T, s string) obs.TraceID {
+func mustTrace(t testing.TB, s string) obs.TraceID {
 	t.Helper()
 	id, err := obs.ParseTraceID(s)
 	if err != nil {
@@ -24,7 +24,7 @@ func mustTrace(t *testing.T, s string) obs.TraceID {
 
 // feedLatency ingests a deterministic mix of http.request spans and
 // service.latency events, some traced (exemplar-bearing) and some not.
-func feedLatency(t *testing.T, g *Registry) {
+func feedLatency(t testing.TB, g *Registry) {
 	base := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	tr1 := mustTrace(t, "0af7651916cd43dd8448eb211c80319c")
 	tr2 := mustTrace(t, "1bf7651916cd43dd8448eb211c80319d")
