@@ -80,10 +80,12 @@ func (m *Memory) Len() int {
 	return len(m.records)
 }
 
-// Reset discards everything captured so far.
+// Reset discards everything captured so far. It keeps the record buffer,
+// so a sink reset between phases does not grow it again.
 func (m *Memory) Reset() {
 	m.mu.Lock()
-	m.records = nil
+	clear(m.records)
+	m.records = m.records[:0]
 	m.mu.Unlock()
 }
 

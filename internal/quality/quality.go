@@ -48,6 +48,9 @@ func (e *Evaluator) N() int { return e.n }
 // the paper's quality functions sum over.
 func (e *Evaluator) PairSquared(i, j int) float64 { return e.t2[i][j] }
 
+// Row returns T²(i,·) without copying; callers must not modify it.
+func (e *Evaluator) Row(i int) []float64 { return e.t2[i] }
+
 // QuadraticMean returns the normalization constant (the quadratic average
 // of all pairwise distances).
 func (e *Evaluator) QuadraticMean() float64 { return e.quadMean }

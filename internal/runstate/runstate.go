@@ -225,14 +225,15 @@ func open(dir string, id Identity, workerID string) (*Store, error) {
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
+	// A previous incarnation may have been killed mid-append; seal the
+	// torn tail with a newline before replay, so the reopened journal's
+	// next record starts on a fresh line and a record that lacks only its
+	// newline stays whole (a sealed garbage line is skipped and counted on
+	// every replay).
+	if err := sealTornTail(s.journalPath()); err != nil {
+		return nil, err
+	}
 	if s.shared {
-		// A previous incarnation of this worker ID may have been killed
-		// mid-append; seal the torn tail with a newline so the reopened
-		// journal's next record starts on a fresh line (the sealed
-		// garbage line is skipped and counted on every replay).
-		if err := sealTornTail(s.journalPath()); err != nil {
-			return nil, err
-		}
 		if err := s.refreshLocked(true); err != nil {
 			return nil, err
 		}

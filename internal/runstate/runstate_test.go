@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -44,10 +45,7 @@ func TestRecordReopenReplay(t *testing.T) {
 	}
 	// Simulate a crash: drop the store without Close (no snapshot), then
 	// reopen and expect every unit back from the journal alone.
-	s.mu.Lock()
-	s.journal.Close()
-	s.journal = nil
-	s.mu.Unlock()
+	kill(s)
 
 	s2, err := Open(dir, testIdentity())
 	if err != nil {
@@ -82,22 +80,11 @@ func TestTornTrailingLineTolerated(t *testing.T) {
 	}
 	s.Record("a", point{0, 0.05, 20})
 	s.Record("b", point{1, 0.10, 30})
-	s.mu.Lock()
-	s.journal.Close()
-	s.journal = nil
-	s.mu.Unlock()
+	kill(s)
 
 	// Simulate a crash mid-append: a truncated JSON fragment with no
 	// trailing newline.
-	j := filepath.Join(dir, "journal.jsonl")
-	f, err := os.OpenFile(j, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"v":1,"key":"c","payload":{"ind`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendJournal(t, dir, `{"v":1,"key":"c","payload":{"ind`)
 
 	s2, err := Open(dir, testIdentity())
 	if err != nil {
@@ -119,6 +106,79 @@ func TestTornTrailingLineTolerated(t *testing.T) {
 	var got point
 	if !s2.Lookup("c", &got) || got.Index != 2 {
 		t.Fatalf("re-recorded unit not visible: %+v", got)
+	}
+}
+
+// kill drops s the way a SIGKILL does: the journal's descriptor closes,
+// and nothing is snapshotted or truncated.
+func kill(s *Store) {
+	s.mu.Lock()
+	s.journal.Close()
+	s.journal = nil
+	s.mu.Unlock()
+}
+
+// appendJournal appends raw bytes to the solo journal in dir.
+func appendJournal(t *testing.T, dir, raw string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSoloResumeAfterTornTail: when a solo journal ends in a torn
+// fragment, or in a whole record that lacks only its newline, the records
+// appended after each resume survive the next crash, and so does that
+// whole record.
+func TestSoloResumeAfterTornTail(t *testing.T) {
+	for _, tc := range []struct {
+		name, tail string
+		resumed    []string // the keys the first resume replays
+		next       []string // the keys each resume records before its crash
+	}{
+		{"torn fragment", `{"v":1,"key":"c","payload":{"ind`, []string{"a", "b"}, []string{"c", "d"}},
+		{"missing newline", `{"v":1,"key":"c","payload":{"index":2,"rate":0.15,"latency":40}}`, []string{"a", "b", "c"}, []string{"d", "e"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, testIdentity())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Record("a", point{0, 0.05, 20})
+			s.Record("b", point{1, 0.10, 30})
+			kill(s)
+			appendJournal(t, dir, tc.tail)
+
+			want := tc.resumed
+			for i, key := range tc.next {
+				s, err := Open(dir, testIdentity())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := s.Keys(""); !slices.Equal(got, want) {
+					t.Fatalf("resume %d: keys %v, want %v", i+1, got, want)
+				}
+				s.Record(key, point{Index: len(want)})
+				kill(s)
+				want = append(want, key)
+			}
+			s, err = Open(dir, testIdentity())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if got := s.Keys(""); !slices.Equal(got, want) {
+				t.Fatalf("final resume: keys %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,8 +13,9 @@ import (
 )
 
 // Tabu screens swap candidates of the paper's objective with a per-switch
-// cluster-sum table and prices only possible winners with SwapDelta. The
-// tests below hold it to the exact-only scan the other objectives get.
+// cluster-sum table, by block and by pair, and prices only possible
+// winners with SwapDelta. The tests below hold it to the exact-only scan
+// the other objectives get.
 
 // opaqueObjective delegates to an evaluator but hides its concrete type,
 // so Tabu prices every candidate with SwapDelta.
@@ -63,18 +65,43 @@ func screenNetworks(t *testing.T) []namedNetwork {
 	return out
 }
 
-// TestTabuScreenMatchesExactScan: on every instance, cluster count and
-// seed, the screened search must return exactly what the exact-only scan
-// returns — the same best partition, value and counters.
+// screenSpecs returns the specs the screen tests run on n switches: 2, 4
+// and 8 equal clusters and the unequal sizes N/2, N/4, N/8 and the rest.
+func screenSpecs(t *testing.T, n int) []Spec {
+	t.Helper()
+	specs := []Spec{spec(t, n, 2), spec(t, n, 4), spec(t, n, 8)}
+	return append(specs, Spec{Sizes: []int{n / 2, n / 4, n / 8, n - n/2 - n/4 - n/8}})
+}
+
+// sameResult fails unless the screened and exact-only results agree on
+// the best partition, its value and the counters.
+func sameResult(t *testing.T, label string, screened, exact *Result) {
+	t.Helper()
+	if !screened.Best.Equal(exact.Best) {
+		t.Errorf("%s: best partitions differ: %v vs %v", label, screened.Best, exact.Best)
+	}
+	if screened.BestIntraSum != exact.BestIntraSum {
+		t.Errorf("%s: BestIntraSum %v vs %v", label, screened.BestIntraSum, exact.BestIntraSum)
+	}
+	if screened.Evaluations != exact.Evaluations || screened.Iterations != exact.Iterations {
+		t.Errorf("%s: evaluations/iterations %d/%d vs %d/%d", label,
+			screened.Evaluations, screened.Iterations, exact.Evaluations, exact.Iterations)
+	}
+}
+
+// TestTabuScreenMatchesExactScan: on every instance, spec and seed, the
+// screened search must return exactly what the exact-only scan returns —
+// the same best partition, value and counters — from random restarts and
+// from a warm start (SearchFrom, as repair runs it).
 func TestTabuScreenMatchesExactScan(t *testing.T) {
 	for _, inst := range screenNetworks(t) {
 		inst := inst
 		t.Run(inst.name, func(t *testing.T) {
 			t.Parallel()
 			e := evalFor(t, inst.net)
-			for _, m := range []int{2, 4, 8} {
-				sp := spec(t, inst.net.Switches(), m)
+			for _, sp := range screenSpecs(t, inst.net.Switches()) {
 				for seed := int64(1); seed <= 5; seed++ {
+					label := fmt.Sprintf("sizes=%v seed=%d", sp.Sizes, seed)
 					screened, err := NewTabu().SearchObjective(nil, e, sp, rand.New(rand.NewSource(seed)))
 					if err != nil {
 						t.Fatal(err)
@@ -83,16 +110,98 @@ func TestTabuScreenMatchesExactScan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("m=%d seed=%d", m, seed)
-					if !screened.Best.Equal(exact.Best) {
-						t.Errorf("%s: best partitions differ: %v vs %v", label, screened.Best, exact.Best)
+					sameResult(t, label, screened, exact)
+
+					start, err := sp.randomPartition(rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
 					}
-					if screened.BestIntraSum != exact.BestIntraSum {
-						t.Errorf("%s: BestIntraSum %v vs %v", label, screened.BestIntraSum, exact.BestIntraSum)
+					screened, err = NewTabu().SearchFrom(nil, e, sp, nil, start)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if screened.Evaluations != exact.Evaluations || screened.Iterations != exact.Iterations {
-						t.Errorf("%s: evaluations/iterations %d/%d vs %d/%d", label,
-							screened.Evaluations, screened.Iterations, exact.Evaluations, exact.Iterations)
+					exact, err = NewTabu().SearchFrom(nil, opaqueObjective{e}, sp, nil, start)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, label+" warm", screened, exact)
+				}
+			}
+		})
+	}
+}
+
+// TestSwapTableBlockFloor: after random swaps applied through the table,
+// refresh leaves every minA entry the block scan reads equal to its
+// definition over the current partition, no block bound exceeds the
+// SwapDelta of any pair in its block, and with random moves tabu the
+// block scan picks the move and counts the tabu hits and aspirations the
+// exact-only scan does.
+func TestSwapTableBlockFloor(t *testing.T) {
+	for _, inst := range screenNetworks(t) {
+		inst := inst
+		t.Run(inst.name, func(t *testing.T) {
+			t.Parallel()
+			e := evalFor(t, inst.net)
+			n := inst.net.Switches()
+			rng := rand.New(rand.NewSource(int64(n)))
+			for _, sp := range screenSpecs(t, n) {
+				p, err := sp.randomPartition(rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tb := newSwapTable(e, p)
+				m := p.M()
+				for step := 1; step <= 60; step++ {
+					u, v := rng.Intn(n), rng.Intn(n)
+					if cu, cv := p.Cluster(u), p.Cluster(v); cu != cv {
+						tb.swap(u, v, cu, cv)
+						p.Swap(u, v)
+					}
+					if step%20 != 0 {
+						continue
+					}
+					tb.refresh(p)
+					for b := 1; b < m; b++ {
+						for a := 0; a < b; a++ {
+							want := math.Inf(1)
+							for y := 0; y < n; y++ {
+								if p.Cluster(y) == b {
+									want = math.Min(want, tb.g[y*m+a]-tb.g[y*m+b])
+								}
+							}
+							if got := tb.minA[b*m+a]; got != want {
+								t.Fatalf("sizes=%v step %d: minA[%d][%d] = %v, recomputed %v", sp.Sizes, step, b, a, got, want)
+							}
+						}
+					}
+					for x := 0; x < n; x++ {
+						for y := 0; y < n; y++ {
+							a, b := p.Cluster(x), p.Cluster(y)
+							if a >= b {
+								continue
+							}
+							bound, d := tb.blockFloor(x, a, b), e.SwapDelta(p, min(x, y), max(x, y))
+							if bound > d {
+								t.Fatalf("sizes=%v step %d: block {%d}×%d bound %v exceeds SwapDelta(%d, %d) = %v",
+									sp.Sizes, step, x, b, bound, min(x, y), max(x, y), d)
+							}
+						}
+					}
+					tabu := map[[2]int]int{}
+					for len(tabu) < 4 {
+						if u, v := rng.Intn(n), rng.Intn(n); p.Cluster(u) != p.Cluster(v) {
+							tabu[moveKey(u, v)] = 1
+						}
+					}
+					cur := e.IntraSum(p)
+					var screened, exact restartStats
+					u, v, d, ok := (&Tabu{}).bestMove(e, &tb, p, tabu, 0, cur, cur, &screened)
+					eu, ev, ed, eok := (&Tabu{}).bestMove(e, &swapTable{}, p, tabu, 0, cur, cur, &exact)
+					if u != eu || v != ev || d != ed || ok != eok ||
+						screened.tabuHits != exact.tabuHits || screened.aspirations != exact.aspirations {
+						t.Fatalf("sizes=%v step %d: block scan (%d,%d) %v, %d hits, %d aspirations; exact scan (%d,%d) %v, %d hits, %d aspirations",
+							sp.Sizes, step, u, v, d, screened.tabuHits, screened.aspirations, eu, ev, ed, exact.tabuHits, exact.aspirations)
 					}
 				}
 			}

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"math"
+
 	"commsched/internal/mapping"
 	"commsched/internal/quality"
 )
@@ -21,17 +23,25 @@ const screenSlack = 1e-9
 //
 // and the change in IntraSum from swapping u ∈ cu with v ∈ cv is
 //
-//	g[v][cu] + g[u][cv] − g[u][cu] − g[v][cv] − 2·T²(u,v).
+//	A_u(cv) + A_v(cu) − 2·T²(u,v),  with A_u(c) = g[u][c] − g[u][cu].
 //
 // The price is exact up to rounding, so Tabu uses it only to screen out
 // candidates that cannot win and confirms the rest with SwapDelta. The
-// zero swapTable (g nil) screens nothing: objectives other than
-// *quality.Evaluator are always priced exactly. T² is taken as symmetric,
-// as Evaluator.IntraSum does when it counts each pair once.
+// same terms bound a whole block {x} × b of candidates at once: with
+// minA[b][a] the least A_y(a) over y ∈ b and rowMax[x] the largest
+// T²(x,·), no swap of x ∈ a with a member of b costs less than
+// A_x(b) + minA[b][a] − 2·rowMax[x]. The zero swapTable (g nil) screens
+// nothing: objectives other than *quality.Evaluator are always priced
+// exactly. T² is taken as symmetric, as Evaluator.IntraSum does when it
+// counts each pair once.
 type swapTable struct {
-	e     *quality.Evaluator
-	m     int
-	g     []float64
+	e      *quality.Evaluator
+	m      int
+	g      []float64
+	rowMax []float64 // rowMax[u] = max_w T²(u,w)
+	// minA[b·M+a] = min_{y∈b} A_y(a), kept for a < b only — the entries
+	// the block scan reads — and recomputed by refresh.
+	minA  []float64
 	slack float64
 }
 
@@ -43,26 +53,57 @@ func newSwapTable(obj Objective, p *mapping.Partition) swapTable {
 		return swapTable{}
 	}
 	n, m := p.N(), p.M()
-	g := make([]float64, n*m)
+	// One allocation backs g, rowMax and minA.
+	buf := make([]float64, n*m+n+m*m)
+	g, rowMax, minA := buf[:n*m], buf[n*m:n*m+n], buf[n*m+n:]
 	maxRow := 0.0
 	for u := 0; u < n; u++ {
 		row := g[u*m : u*m+m]
-		sum := 0.0
-		for w := 0; w < n; w++ {
-			t2 := e.PairSquared(u, w)
+		sum, top := 0.0, 0.0
+		for w, t2 := range e.Row(u) {
 			row[p.Cluster(w)] += t2
 			sum += t2
+			if t2 > top {
+				top = t2
+			}
 		}
+		rowMax[u] = top
 		maxRow = max(maxRow, sum)
 	}
-	return swapTable{e: e, m: m, g: g, slack: screenSlack * (1 + maxRow)}
+	return swapTable{e: e, m: m, g: g, rowMax: rowMax, minA: minA, slack: screenSlack * (1 + maxRow)}
 }
 
-// floor returns a lower bound on SwapDelta for swapping u ∈ cu with
-// v ∈ cv: the table price less the slack.
-func (tb *swapTable) floor(u, v, cu, cv int) float64 {
-	gu, gv := tb.g[u*tb.m:], tb.g[v*tb.m:]
-	return gv[cu] + gu[cv] - gu[cu] - gv[cv] - 2*tb.e.PairSquared(u, v) - tb.slack
+// gain returns A_x(b) for x ∈ a.
+func (tb *swapTable) gain(x, a, b int) float64 {
+	gx := tb.g[x*tb.m : x*tb.m+tb.m]
+	return gx[b] - gx[a]
+}
+
+// refresh recomputes minA for p in O(N·M); call it after the last swap
+// and before blockFloor.
+func (tb *swapTable) refresh(p *mapping.Partition) {
+	m := tb.m
+	for b := 1; b < m; b++ {
+		row := tb.minA[b*m : b*m+b]
+		for a := range row {
+			row[a] = math.Inf(1)
+		}
+		for _, y := range p.MembersUnordered(b) {
+			gy := tb.g[y*m : y*m+m]
+			for a := range row {
+				if d := gy[a] - gy[b]; d < row[a] {
+					row[a] = d
+				}
+			}
+		}
+	}
+}
+
+// blockFloor returns a lower bound on SwapDelta for swapping x ∈ a with
+// any member of cluster b > a. Its margin is twice the pair slack, as the
+// bound sums the table terms in yet another order than the pair price.
+func (tb *swapTable) blockFloor(x, a, b int) float64 {
+	return tb.gain(x, a, b) + tb.minA[b*tb.m+a] - 2*tb.rowMax[x] - 2*tb.slack
 }
 
 // swap updates the table in O(N) for u (in cu) and v (in cv) trading
@@ -71,8 +112,9 @@ func (tb *swapTable) swap(u, v, cu, cv int) {
 	if tb.g == nil {
 		return
 	}
-	for w := 0; w < len(tb.g)/tb.m; w++ {
-		d := tb.e.PairSquared(v, w) - tb.e.PairSquared(u, w)
+	ru, rv := tb.e.Row(u), tb.e.Row(v)
+	for w := range ru {
+		d := rv[w] - ru[w]
 		tb.g[w*tb.m+cu] += d
 		tb.g[w*tb.m+cv] -= d
 	}

@@ -340,57 +340,116 @@ func (t *Tabu) searchParallel(ctx context.Context, obj Objective, spec Spec, rng
 }
 
 // bestMove scans all inter-cluster swaps and returns the non-tabu move
-// with the smallest delta. Tabu moves are admissible when they would beat
-// the global best (aspiration criterion). stats accumulates tabu-hit and
-// aspiration counts for the restart's observability record.
+// with the smallest delta, the smallest (u, v) with u < v among equal
+// deltas. Tabu moves are admissible when they would beat the global best
+// (aspiration criterion). stats accumulates tabu-hit and aspiration
+// counts for the restart's observability record.
 //
-// With a swap table (the paper's objective), a candidate that is not tabu
-// and whose table price cannot beat the best delta so far is skipped: the
-// exact comparison below would not have taken it either. Every other
-// candidate is priced by SwapDelta as without the table, so the chosen
-// move and the counters do not depend on the screen.
+// With a swap table (the paper's objective) the scan goes block by
+// block, {x} × b for x in a cluster a < b, and skips a block, or a pair
+// within one, whose table bound already exceeds the best delta so far:
+// no candidate in it could win or tie. The bound is strict and moves tabu
+// this iteration are never skipped, so every candidate that could win,
+// tie or touch the tabu counters is priced by SwapDelta as without the
+// table, and the chosen move and the counters do not depend on the
+// screen. Without a table every pair is priced, in (u, v) order.
 func (t *Tabu) bestMove(e Objective, tb *swapTable, p *mapping.Partition, tabu map[[2]int]int, iter int, cur, globalBest float64, stats *restartStats) (u, v int, delta float64, found bool) {
-	n := p.N()
-	delta = math.Inf(1)
+	s := moveScan{cur: cur, globalBest: globalBest, stats: stats, delta: math.Inf(1)}
 	// The moves forbidden this iteration, at most Tenure of them (the
-	// buffer keeps usual tenures off the heap): a screened-out candidate
-	// must still be priced when it is one of them, for the tabu counters.
+	// buffer keeps usual tenures off the heap).
 	var activeBuf [8][2]int
 	active := activeBuf[:0]
-	if tb.g != nil {
-		for k, until := range tabu {
-			if iter < until {
-				active = append(active, k)
-			}
+	for k, until := range tabu {
+		if iter < until {
+			active = append(active, k)
 		}
 	}
+	if tb.g != nil {
+		s.scanBlocks(tb, p, active)
+		return s.u, s.v, s.delta, s.found
+	}
+	n := p.N()
 	for a := 0; a < n; a++ {
 		ca := p.Cluster(a)
 		for b := a + 1; b < n; b++ {
-			cb := p.Cluster(b)
-			if ca == cb {
-				continue
-			}
-			if tb.g != nil && tb.floor(a, b, ca, cb) >= delta && !slices.Contains(active, [2]int{a, b}) {
-				continue
-			}
-			stats.exact++
-			d := e.SwapDelta(p, a, b)
-			if until, isTabu := tabu[moveKey(a, b)]; isTabu && iter < until {
-				// Aspiration: allow a tabu move only if it improves on the
-				// best value seen anywhere.
-				if globalBest == 0 || cur+d >= globalBest-valueEpsilon {
-					stats.tabuHits++
-					continue
-				}
-				stats.aspirations++
-			}
-			if d < delta {
-				u, v, delta, found = a, b, d, true
+			if p.Cluster(b) != ca {
+				s.take(a, b, e.SwapDelta(p, a, b), slices.Contains(active, [2]int{a, b}))
 			}
 		}
 	}
-	return u, v, delta, found
+	return s.u, s.v, s.delta, s.found
+}
+
+// moveScan is one bestMove pass: the values the tabu and aspiration
+// checks read, and the best move so far.
+type moveScan struct {
+	cur, globalBest float64
+	stats           *restartStats
+
+	u, v  int
+	delta float64
+	found bool
+}
+
+// take weighs the swap of a < b, priced exactly as SwapDelta(p, a, b) = d,
+// and keeps it when it is admissible and beats the best so far, the
+// smaller pair winning a tie. SwapDelta must take the pair in that order:
+// the argument order fixes its summation order, and with it the last bit
+// of d.
+func (s *moveScan) take(a, b int, d float64, tabu bool) {
+	s.stats.exact++
+	if tabu {
+		// Aspiration: allow a tabu move only if it improves on the best
+		// value seen anywhere.
+		if s.globalBest == 0 || s.cur+d >= s.globalBest-valueEpsilon {
+			s.stats.tabuHits++
+			return
+		}
+		s.stats.aspirations++
+	}
+	if d < s.delta || d == s.delta && (a < s.u || a == s.u && b < s.v) {
+		s.u, s.v, s.delta, s.found = a, b, d, true
+	}
+}
+
+// scanBlocks is the screened scan over the table's blocks. A block or
+// pair holding one of the active tabu moves is priced whatever its bound,
+// for the tabu counters.
+func (s *moveScan) scanBlocks(tb *swapTable, p *mapping.Partition, active [][2]int) {
+	tb.refresh(p)
+	for ca := 0; ca < p.M(); ca++ {
+		for cb := ca + 1; cb < p.M(); cb++ {
+			ys := p.MembersUnordered(cb)
+			for _, x := range p.MembersUnordered(ca) {
+				tabuHere := holdsTabu(active, p, x, cb)
+				if !tabuHere && tb.blockFloor(x, ca, cb) > s.delta {
+					continue
+				}
+				ax, tx := tb.gain(x, ca, cb), tb.e.Row(x)
+				for _, y := range ys {
+					lo, hi := min(x, y), max(x, y)
+					tabu := tabuHere && slices.Contains(active, [2]int{lo, hi})
+					// The pair's table price less the slack: a lower bound
+					// on its SwapDelta.
+					if ax+tb.gain(y, cb, ca)-2*tx[y]-tb.slack > s.delta && !tabu {
+						continue
+					}
+					s.take(lo, hi, tb.e.SwapDelta(p, lo, hi), tabu)
+				}
+			}
+		}
+	}
+}
+
+// holdsTabu reports whether one of the active tabu moves swaps x with a
+// member of cluster c.
+func holdsTabu(active [][2]int, p *mapping.Partition, x, c int) bool {
+	for _, k := range active {
+		if k[0] == x && p.Cluster(k[1]) == c || k[1] == x && p.Cluster(k[0]) == c {
+			return true
+		}
+	}
+	return false
 }
 
 // consider updates the incumbent best-so-far. The candidate is screened
