@@ -159,7 +159,7 @@ func BenchmarkFig6Correlation(b *testing.B) {
 }
 
 // BenchmarkClaimTabuVsExhaustive checks the paper's optimality claim on a
-// 12-switch instance (small enough to enumerate on every iteration).
+// 12-switch instance, proving the optimum exactly on every iteration.
 func BenchmarkClaimTabuVsExhaustive(b *testing.B) {
 	var r *experiments.OptimalityResult
 	var err error

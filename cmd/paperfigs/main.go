@@ -177,15 +177,12 @@ func writeCSVs(dir string, fig string, sc experiments.Scale, quick bool) error {
 	return nil
 }
 
-// advConfig picks the adversarial-search scale; the climbs always fan
-// out in parallel (results are byte-identical to the serial mode).
+// advConfig picks the adversarial-search scale.
 func advConfig(quick bool) experiments.AdvConfig {
-	cfg := experiments.FullAdvConfig()
 	if quick {
-		cfg = experiments.QuickAdvConfig()
+		return experiments.QuickAdvConfig()
 	}
-	cfg.Parallel = true
-	return cfg
+	return experiments.FullAdvConfig()
 }
 
 func run(fig string, sc experiments.Scale, quick bool) error {

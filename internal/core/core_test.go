@@ -142,9 +142,7 @@ func TestFailedRunsEndSpans(t *testing.T) {
 	if _, err := sys.Schedule(ctx, ScheduleOptions{Clusters: 4}); err == nil {
 		t.Error("cancelled Schedule succeeded")
 	}
-	tb := search.NewTabu()
-	tb.Parallel = true
-	if _, err := tb.SearchObjective(ctx, sys.Evaluator(), spec, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := search.NewTabu().SearchObjective(ctx, sys.Evaluator(), spec, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("cancelled SearchObjective succeeded")
 	}
 	for name, want := range map[string]int{

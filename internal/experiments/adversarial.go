@@ -34,9 +34,7 @@ import (
 const AdvSeedBase = 900
 
 // AdvConfig shapes one adversarial search run. The result is a pure
-// function of every field except Parallel, which only selects the
-// execution mode (serial loop vs par.ForEach) and must not change any
-// output byte.
+// function of its fields.
 type AdvConfig struct {
 	// Families are the DAG generator families to attack
 	// ("layered", "forkjoin", "random").
@@ -55,8 +53,6 @@ type AdvConfig struct {
 	// Seed drives every climb (combined with AdvSeedBase and the climb
 	// index).
 	Seed int64
-	// Parallel fans the climbs out via par.ForEach.
-	Parallel bool
 }
 
 // FullAdvConfig is the paper-scale adversarial search.
@@ -73,13 +69,6 @@ func QuickAdvConfig() AdvConfig {
 		Families: []string{"layered", "forkjoin", "random"},
 		Restarts: 2, Steps: 48, Tasks: 24, Procs: 4, Seed: 1,
 	}
-}
-
-// canonical strips the execution-mode field, so runstate keys and any
-// other identity derived from the config are mode-independent.
-func (c AdvConfig) canonical() AdvConfig {
-	c.Parallel = false
-	return c
 }
 
 // validate rejects configurations the climb cannot run.
@@ -343,10 +332,10 @@ func advClimb(ctx context.Context, cfg AdvConfig, sys *core.System, family strin
 }
 
 // Adversarial runs the full adversarial search: one hill-climb per
-// (family, restart), serial or fanned out via par.ForEach — byte-
-// identical results either way. Each climb is one durable runstate
-// unit, so interrupted sweeps resume without repeating completed
-// climbs. A nil ctx means context.Background.
+// (family, restart), fanned out via par.ForEach; each climb writes its
+// own row, so the result does not depend on the worker count. Each climb
+// is one durable runstate unit, so interrupted sweeps resume without
+// repeating completed climbs. A nil ctx means context.Background.
 func Adversarial(ctx context.Context, cfg AdvConfig) (*AdvResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -366,10 +355,9 @@ func Adversarial(ctx context.Context, cfg AdvConfig) (*AdvResult, error) {
 	sp := obs.StartSpan("experiments.adversarial",
 		obs.F("families", len(cfg.Families)),
 		obs.F("restarts", cfg.Restarts),
-		obs.F("steps", cfg.Steps),
-		obs.F("parallel", cfg.Parallel))
+		obs.F("steps", cfg.Steps))
 
-	cfgHash := runstate.KeyHash(cfg.canonical())
+	cfgHash := runstate.KeyHash(cfg)
 	rows := make([]AdvRow, nClimbs)
 	runOne := func(ctx context.Context, i int) error {
 		family := cfg.Families[i/cfg.Restarts]
@@ -393,15 +381,7 @@ func Adversarial(ctx context.Context, cfg AdvConfig) (*AdvResult, error) {
 		rows[i] = row
 		return nil
 	}
-	if cfg.Parallel {
-		err = par.ForEach(ctx, nClimbs, runOne)
-	} else {
-		for i := 0; i < nClimbs && err == nil; i++ {
-			err = runOne(ctx, i)
-			obs.Progress("experiments.adversarial", int64(i+1), int64(nClimbs))
-		}
-	}
-	if err != nil {
+	if err := par.ForEach(ctx, nClimbs, runOne); err != nil {
 		return nil, err
 	}
 

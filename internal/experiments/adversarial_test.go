@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -80,8 +81,8 @@ func TestAdversarialCancellable(t *testing.T) {
 }
 
 // TestAdversarialDeterminism: the search result is a pure function of
-// the config — the serial loop and the par.ForEach fan-out must emit
-// byte-identical CSVs.
+// the config — one worker and the default worker count must emit
+// byte-identical CSVs, and so must a repeat run.
 func TestAdversarialDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search-heavy")
@@ -90,8 +91,7 @@ func TestAdversarialDeterminism(t *testing.T) {
 	cfg.Restarts = 1
 	cfg.Steps = 6
 
-	emit := func(parallel bool) []byte {
-		cfg.Parallel = parallel
+	emit := func() []byte {
 		r, err := Adversarial(nil, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -102,13 +102,16 @@ func TestAdversarialDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	serial := emit(false)
-	parallel := emit(true)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("serial and parallel CSVs differ:\nserial:\n%s\nparallel:\n%s", serial, parallel)
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	single := emit()
+	runtime.GOMAXPROCS(old)
+	parallel := emit()
+	if !bytes.Equal(single, parallel) {
+		t.Fatalf("GOMAXPROCS=1 and GOMAXPROCS=%d CSVs differ:\nsingle:\n%s\nparallel:\n%s", old, single, parallel)
 	}
-	if !bytes.Equal(serial, emit(false)) {
-		t.Fatal("repeat serial run differs")
+	if !bytes.Equal(parallel, emit()) {
+		t.Fatal("repeat run differs")
 	}
 }
 
@@ -159,14 +162,12 @@ func TestAdversarialResume(t *testing.T) {
 		t.Fatalf("resumed rows differ:\n got %+v\nwant %+v", second.Rows, first.Rows)
 	}
 
-	// The unit key must not depend on the execution mode: a parallel
-	// rerun replays the serial run's units.
+	// A third run over the same store replays the same units again.
 	st3, err := runstate.Open(dir, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runstate.SetStore(st3)
-	cfg.Parallel = true
 	third, err := Adversarial(nil, cfg)
 	runstate.SetStore(nil)
 	if err != nil {
@@ -174,10 +175,10 @@ func TestAdversarialResume(t *testing.T) {
 	}
 	defer st3.Close()
 	if got, want := st3.Stats().Hits, int64(len(cfg.Families)); got < want {
-		t.Fatalf("parallel rerun hits = %d, want >= %d", got, want)
+		t.Fatalf("rerun hits = %d, want >= %d", got, want)
 	}
 	if !reflect.DeepEqual(first.Rows, third.Rows) {
-		t.Fatal("parallel resumed rows differ from serial originals")
+		t.Fatal("rerun rows differ from the originals")
 	}
 }
 

@@ -381,20 +381,3 @@ func TestTabuContextCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
-
-func TestSearchParallelMatchesSerial(t *testing.T) {
-	pr := fixture(t, 8, balancedClusters(40, 3), 2, 20) // 64 slots, 24 free
-	serial := mustSearch(t, pr, NewTabu(), 21)
-	par := NewTabu()
-	par.Parallel = true
-	parallel := mustSearch(t, pr, par, 21)
-	if serial.BestCost != parallel.BestCost || serial.Evaluations != parallel.Evaluations ||
-		serial.Iterations != parallel.Iterations {
-		t.Fatalf("parallel %+v != serial %+v", parallel, serial)
-	}
-	for p, h := range serial.Best.HostOf {
-		if parallel.Best.HostOf[p] != h {
-			t.Fatalf("process %d: parallel host %d, serial host %d", p, parallel.Best.HostOf[p], h)
-		}
-	}
-}

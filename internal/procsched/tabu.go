@@ -33,9 +33,8 @@ func NewTabu() *search.Tabu {
 }
 
 // Search runs t over the problem's slot partition (see slots) and
-// returns the best placement. Cancellation, tracing and the identical
-// serial and parallel results are search.Tabu's; a nil ctx means
-// context.Background.
+// returns the best placement. Cancellation, tracing and determinism are
+// search.Tabu's; a nil ctx means context.Background.
 func Search(ctx context.Context, pr *Problem, t *search.Tabu, rng *rand.Rand) (*Result, error) {
 	res, err := t.SearchObjective(ctx, slots{pr}, pr.slotSpec(), rng)
 	if err != nil {

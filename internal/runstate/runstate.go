@@ -12,8 +12,9 @@
 //
 //	identity.json  — schema version + run identity (command, scale,
 //	                 seeds, topology SHA-256 hashes), written once via
-//	                 atomic rename; a resume against a directory whose
-//	                 identity differs is refused with ErrIdentityMismatch.
+//	                 an atomic hard link that never replaces it; a resume
+//	                 (or a sibling worker) whose identity differs is
+//	                 refused with ErrIdentityMismatch.
 //	journal.jsonl  — the write-ahead log: one JSON object per completed
 //	                 unit, appended and fsync'd per record. A torn final
 //	                 line (crash mid-write) is tolerated: it is skipped
@@ -35,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -196,25 +198,32 @@ func open(dir string, id Identity, workerID string) (*Store, error) {
 		return nil, fmt.Errorf("runstate: encoding identity: %w", err)
 	}
 	idPath := filepath.Join(dir, "identity.json")
-	if data, err := os.ReadFile(idPath); err == nil {
-		var have Identity
-		if err := json.Unmarshal(data, &have); err != nil {
-			return nil, fmt.Errorf("runstate: %s is not a checkpoint identity: %w", idPath, err)
-		}
-		got, err := have.canonical()
-		if err != nil {
+	data, err := os.ReadFile(idPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		// The link that publishes the identity never replaces a file: of
+		// two openers that find the directory fresh together, one
+		// publishes its identity and the other is checked against it.
+		data = append(append([]byte{}, want...), '\n')
+		if err = writeFileAtomic(idPath, data, os.Link); errors.Is(err, fs.ErrExist) {
+			data, err = os.ReadFile(idPath)
+		} else if err != nil {
 			return nil, err
 		}
-		if !bytes.Equal(got, want) {
-			return nil, fmt.Errorf("%w: %s holds %s, this run is %s",
-				ErrIdentityMismatch, dir, summarize(got), summarize(want))
-		}
-	} else if os.IsNotExist(err) {
-		if err := writeFileAtomic(idPath, append(append([]byte{}, want...), '\n')); err != nil {
-			return nil, err
-		}
-	} else {
+	}
+	if err != nil {
 		return nil, fmt.Errorf("runstate: reading %s: %w", idPath, err)
+	}
+	var have Identity
+	if err := json.Unmarshal(data, &have); err != nil {
+		return nil, fmt.Errorf("runstate: %s is not a checkpoint identity: %w", idPath, err)
+	}
+	got, err := have.canonical()
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(got, want) {
+		return nil, fmt.Errorf("%w: %s holds %s, this run is %s",
+			ErrIdentityMismatch, dir, summarize(got), summarize(want))
 	}
 
 	s := &Store{
@@ -656,7 +665,7 @@ func (s *Store) Snapshot() error {
 	if err != nil {
 		return fmt.Errorf("runstate: encoding snapshot: %w", err)
 	}
-	if err := writeFileAtomic(s.snapshotPath(), append(data, '\n')); err != nil {
+	if err := writeFileAtomic(s.snapshotPath(), append(data, '\n'), os.Rename); err != nil {
 		return err
 	}
 	if s.journal != nil {
@@ -691,9 +700,11 @@ func (s *Store) Close() error {
 	return err
 }
 
-// writeFileAtomic writes data to path via tmp file + fsync + rename, so
-// readers (and crashes) only ever observe the old or the new content.
-func writeFileAtomic(path string, data []byte) error {
+// writeFileAtomic writes data to a temp file beside path, fsyncs it and
+// publishes it at path with publish, so readers (and crashes) only ever
+// observe the old or the new content. os.Rename replaces a file already
+// at path; os.Link fails instead, with an error matching fs.ErrExist.
+func writeFileAtomic(path string, data []byte, publish func(tmp, path string) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("runstate: creating temp file: %w", err)
@@ -710,7 +721,7 @@ func writeFileAtomic(path string, data []byte) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("runstate: closing %s: %w", path, err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := publish(tmp.Name(), path); err != nil {
 		return fmt.Errorf("runstate: publishing %s: %w", path, err)
 	}
 	return nil

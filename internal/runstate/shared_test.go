@@ -2,9 +2,11 @@ package runstate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -220,5 +222,41 @@ func TestTokenContextRoundTrip(t *testing.T) {
 	}
 	if got := TokenFrom(context.Background()); got != 0 {
 		t.Fatalf("TokenFrom without token = %d, want 0", got)
+	}
+}
+
+// TestConcurrentOpenRefusesMixedIdentities: two workers that find a fresh
+// directory together, under different identities, must not both be
+// accepted; the one that loses the race to publish identity.json is
+// refused.
+func TestConcurrentOpenRefusesMixedIdentities(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		dir := t.TempDir()
+		var stores [2]*Store
+		var errs [2]error
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, cmd := range []string{"a", "b"} {
+			wg.Add(1)
+			go func(i int, cmd string) {
+				defer wg.Done()
+				<-start
+				stores[i], errs[i] = OpenWorker(dir, Identity{Command: cmd}, cmd)
+			}(i, cmd)
+		}
+		close(start)
+		wg.Wait()
+		accepted := 0
+		for i, st := range stores {
+			if st != nil {
+				accepted++
+				st.Close()
+			} else if !errors.Is(errs[i], ErrIdentityMismatch) {
+				t.Fatalf("trial %d: refused open returned %v, want ErrIdentityMismatch", trial, errs[i])
+			}
+		}
+		if accepted != 1 {
+			t.Fatalf("trial %d: %d of 2 mixed identities accepted, want 1", trial, accepted)
+		}
 	}
 }

@@ -51,3 +51,28 @@ func BenchmarkTabuRestart(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExhaustive times one proof of optimality on the instances of
+// the claims table (12 switches, topology seed 500) and of
+// examples/heuristics (16 switches, seed 2000), 4 balanced clusters each.
+// evals/op is Result.Evaluations, the candidates the search priced.
+func BenchmarkExhaustive(b *testing.B) {
+	for _, c := range []struct {
+		n    int
+		seed int64
+	}{{12, 500}, {16, 2000}} {
+		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
+			in := irregularInstance(b, balanced(c.n, 4), c.seed)
+			evals := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := NewExhaustive().Search(nil, in.e, in.spec, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				evals += res.Evaluations
+			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+		})
+	}
+}

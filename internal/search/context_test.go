@@ -45,14 +45,12 @@ func TestSearchersHonorCancelledContext(t *testing.T) {
 	cancel()
 	searchers := []Searcher{
 		NewTabu(),
-		&Tabu{Restarts: 4, MaxIterations: 20, RepeatLimit: 3, Tenure: 4, Parallel: true},
 		NewAnneal(),
 		NewGreedy(),
 		NewGenetic(),
 		NewGSA(),
 		&RandomSample{Samples: 100000},
 		NewExhaustive(),
-		NewAStar(),
 	}
 	for _, s := range searchers {
 		_, err := s.Search(ctx, e, sp, rand.New(rand.NewSource(1)))

@@ -3,23 +3,20 @@ package search
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
-	"commsched/internal/mapping"
+	"commsched/internal/quality"
 	"commsched/internal/topology"
 )
 
-// Determinism contract of Tabu: for one rng state, the sequential and
-// parallel modes must return the exact same Result — not merely a best
-// value within tolerance. Both modes pre-draw one seed per restart and
-// run every restart fully independently, so scheduling and worker count
-// cannot influence the outcome.
+// Determinism contract of Tabu: for one rng state, a search returns the
+// exact same Result — not merely a best value within tolerance — whether
+// it runs alone or beside other searches on the same evaluator. Every
+// restart is drawn from one pre-drawn seed and run fully independently.
 
 // tabuResultsEqual asserts exact field-for-field agreement of two
-// results (the trace is exempt: parallel mode rejects RecordTrace).
+// results (the trace is exempt).
 func tabuResultsEqual(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if a.BestIntraSum != b.BestIntraSum {
@@ -39,9 +36,33 @@ func tabuResultsEqual(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestTabuSerialParallelIdentical: same seed, serial vs parallel — the
-// whole Result must match exactly on several instances and cluster
-// shapes.
+// concurrentSearches runs k copies of the same search at once on one
+// evaluator, as the service does with a cached system, and returns their
+// results.
+func concurrentSearches(t *testing.T, k int, e *quality.Evaluator, sp Spec, seed int64) []*Result {
+	t.Helper()
+	out := make([]*Result, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out[i], errs[i] = NewTabu().Search(nil, e, sp, rand.New(rand.NewSource(seed)))
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestTabuSerialParallelIdentical: same seed, one search alone vs several
+// at once on the same evaluator — the whole Result must match exactly on
+// several instances, and a repeat run must too.
 func TestTabuSerialParallelIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
@@ -55,20 +76,15 @@ func TestTabuSerialParallelIdentical(t *testing.T) {
 			sp := spec(t, 16, 4)
 
 			serial := NewTabu()
-			par := NewTabu()
-			par.Parallel = true
-
 			rs, err := serial.Search(nil, e, sp, rand.New(rand.NewSource(seed*71)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rp, err := par.Search(nil, e, sp, rand.New(rand.NewSource(seed*71)))
-			if err != nil {
-				t.Fatal(err)
+			for _, rp := range concurrentSearches(t, 3, e, sp, seed*71) {
+				tabuResultsEqual(t, "alone vs concurrent", rs, rp)
 			}
-			tabuResultsEqual(t, "serial vs parallel", rs, rp)
 
-			// Same mode, same seed, run twice: repeatable.
+			// Same seed, run twice: repeatable.
 			rs2, err := serial.Search(nil, e, sp, rand.New(rand.NewSource(seed*71)))
 			if err != nil {
 				t.Fatal(err)
@@ -78,37 +94,10 @@ func TestTabuSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestTabuParallelWorkerCountIndependent: the parallel result must not
-// depend on how many workers the runtime grants.
-func TestTabuParallelWorkerCountIndependent(t *testing.T) {
-	net, err := topology.RandomIrregular(16, 3, rand.New(rand.NewSource(3)), topology.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := evalFor(t, net)
-	sp := spec(t, 16, 4)
-	par := NewTabu()
-	par.Parallel = true
-
-	run := func() *Result {
-		r, err := par.Search(nil, e, sp, rand.New(rand.NewSource(17)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	base := run()
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	single := run()
-	runtime.GOMAXPROCS(old)
-	tabuResultsEqual(t, "GOMAXPROCS independence", base, single)
-}
-
 // TestTabuObjectivePathMatchesSearch: SearchObjective over the plain
 // evaluator must agree exactly with Search (minus the F normalization
-// Search adds), in both modes — i.e. the generic-objective entry point
-// runs the identical procedure.
+// Search adds) — i.e. the generic-objective entry point runs the
+// identical procedure.
 func TestTabuObjectivePathMatchesSearch(t *testing.T) {
 	net, err := topology.RandomIrregular(16, 3, rand.New(rand.NewSource(11)), topology.Config{})
 	if err != nil {
@@ -116,59 +105,23 @@ func TestTabuObjectivePathMatchesSearch(t *testing.T) {
 	}
 	e := evalFor(t, net)
 	sp := spec(t, 16, 4)
-	for _, parallel := range []bool{false, true} {
-		tb := NewTabu()
-		tb.Parallel = parallel
-		rs, err := tb.Search(nil, e, sp, rand.New(rand.NewSource(23)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ro, err := tb.SearchObjective(nil, e, sp, rand.New(rand.NewSource(23)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("objective path (parallel=%v)", parallel)
-		if rs.BestIntraSum != ro.BestIntraSum {
-			t.Errorf("%s: BestIntraSum %v vs %v", label, rs.BestIntraSum, ro.BestIntraSum)
-		}
-		if !rs.Best.Canonical().Equal(ro.Best.Canonical()) {
-			t.Errorf("%s: best partitions differ", label)
-		}
-		if rs.Evaluations != ro.Evaluations || rs.Iterations != ro.Iterations {
-			t.Errorf("%s: counters differ: %d/%d vs %d/%d",
-				label, rs.Evaluations, rs.Iterations, ro.Evaluations, ro.Iterations)
-		}
-	}
-}
-
-// panickyObjective delegates to an Objective but panics on the panicAt-th
-// IntraSum call — the start of one restart.
-type panickyObjective struct {
-	Objective
-	calls   atomic.Int64
-	panicAt int64
-}
-
-func (o *panickyObjective) IntraSum(p *mapping.Partition) float64 {
-	if o.calls.Add(1) == o.panicAt {
-		panic("objective failed")
-	}
-	return o.Objective.IntraSum(p)
-}
-
-// TestTabuParallelRestartPanicIsError: a panic inside one parallel
-// restart comes back as the search's error instead of crashing the
-// process.
-func TestTabuParallelRestartPanicIsError(t *testing.T) {
-	net, err := topology.RandomIrregular(16, 3, rand.New(rand.NewSource(3)), topology.Config{})
+	tb := NewTabu()
+	rs, err := tb.Search(nil, e, sp, rand.New(rand.NewSource(23)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := &panickyObjective{Objective: evalFor(t, net), panicAt: 3}
-	tb := NewTabu()
-	tb.Parallel = true
-	res, err := tb.SearchObjective(nil, obj, spec(t, 16, 4), rand.New(rand.NewSource(17)))
-	if err == nil || !strings.Contains(err.Error(), "objective failed") {
-		t.Fatalf("SearchObjective = %v, %v; want the restart's panic as an error", res, err)
+	ro, err := tb.SearchObjective(nil, e, sp, rand.New(rand.NewSource(23)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.BestIntraSum != ro.BestIntraSum {
+		t.Errorf("objective path: BestIntraSum %v vs %v", rs.BestIntraSum, ro.BestIntraSum)
+	}
+	if !rs.Best.Canonical().Equal(ro.Best.Canonical()) {
+		t.Errorf("objective path: best partitions differ")
+	}
+	if rs.Evaluations != ro.Evaluations || rs.Iterations != ro.Iterations {
+		t.Errorf("objective path: counters differ: %d/%d vs %d/%d",
+			rs.Evaluations, rs.Iterations, ro.Evaluations, ro.Iterations)
 	}
 }

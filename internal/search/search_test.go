@@ -48,7 +48,7 @@ func blockOptimal(n, k int) float64 {
 	return float64(pairs) * 0.25
 }
 
-func evalFor(t *testing.T, net *topology.Network) *quality.Evaluator {
+func evalFor(t testing.TB, net *topology.Network) *quality.Evaluator {
 	t.Helper()
 	ud, err := routing.NewUpDown(net, -1)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestSpecValidate(t *testing.T) {
 func allSearchers() []Searcher {
 	return []Searcher{
 		NewTabu(), NewGreedy(), NewAnneal(), NewGenetic(), NewGSA(),
-		NewRandomSample(), NewExhaustive(), NewAStar(),
+		NewRandomSample(), NewExhaustive(),
 	}
 }
 
@@ -447,6 +447,9 @@ func TestRandomSampleMultipleDraws(t *testing.T) {
 	}
 }
 
+// TestParallelTabuDeterministicAndGood: searches run at once on one
+// evaluator agree with each other for a fixed seed, and reach the exact
+// optimum on this 16-switch instance.
 func TestParallelTabuDeterministicAndGood(t *testing.T) {
 	net, err := topology.RandomIrregular(16, 3, rand.New(rand.NewSource(66)), topology.Config{})
 	if err != nil {
@@ -454,40 +457,20 @@ func TestParallelTabuDeterministicAndGood(t *testing.T) {
 	}
 	e := evalFor(t, net)
 	sp := spec(t, 16, 4)
-	par := NewTabu()
-	par.Parallel = true
-	r1, err := par.Search(nil, e, sp, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := par.Search(nil, e, sp, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := concurrentSearches(t, 2, e, sp, 9)
+	r1, r2 := rs[0], rs[1]
 	if r1.BestIntraSum != r2.BestIntraSum || !r1.Best.Canonical().Equal(r2.Best.Canonical()) {
-		t.Fatal("parallel tabu nondeterministic for fixed seed")
+		t.Fatal("concurrent tabu nondeterministic for fixed seed")
 	}
-	// Parallel restarts must find the same optimum the sequential run does
-	// on this instance (both match exhaustive on small networks).
-	seq, err := NewTabu().Search(nil, e, sp, rand.New(rand.NewSource(9)))
+	opt, err := NewExhaustive().Search(nil, e, sp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r1.BestIntraSum-seq.BestIntraSum) > 1e-9 {
-		t.Fatalf("parallel best %v != sequential best %v", r1.BestIntraSum, seq.BestIntraSum)
+	if math.Abs(r1.BestIntraSum-opt.BestIntraSum) > 1e-9 {
+		t.Fatalf("tabu best %v != exact optimum %v", r1.BestIntraSum, opt.BestIntraSum)
 	}
 	if r1.Evaluations == 0 {
-		t.Fatal("parallel run lost its cost counters")
-	}
-}
-
-func TestParallelTabuRejectsTrace(t *testing.T) {
-	e := quality.NewEvaluator(blockTable(t, 8, 2))
-	tb := NewTabu()
-	tb.Parallel = true
-	tb.RecordTrace = true
-	if _, err := tb.Search(nil, e, spec(t, 8, 2), rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("trace recording with Parallel accepted")
+		t.Fatal("tabu run lost its cost counters")
 	}
 }
 

@@ -6,11 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 
 	"commsched/internal/mapping"
 	"commsched/internal/obs"
-	"commsched/internal/par"
 	"commsched/internal/quality"
 )
 
@@ -33,12 +31,6 @@ type Tabu struct {
 	Tenure int
 	// RecordTrace enables TracePoint recording (Figure 1).
 	RecordTrace bool
-	// Parallel runs the restarts concurrently on GOMAXPROCS goroutines.
-	// Both modes pre-draw one seed per restart from the caller's rng and
-	// scope the aspiration criterion to the restart, so for a given rng
-	// state the sequential and parallel runs return the identical Result
-	// regardless of scheduling. Incompatible with RecordTrace.
-	Parallel bool
 }
 
 // NewTabu returns a Tabu searcher with the paper's parameters.
@@ -70,7 +62,7 @@ func (t *Tabu) Search(ctx context.Context, e *quality.Evaluator, spec Spec, rng 
 	if err := spec.validate(e); err != nil {
 		return nil, err
 	}
-	sp, sctx := obs.StartSpanCtx(orBackground(ctx), "search.tabu", obs.F("restarts", t.Restarts), obs.F("parallel", t.Parallel))
+	sp, sctx := obs.StartSpanCtx(orBackground(ctx), "search.tabu", obs.F("restarts", t.Restarts))
 	res, err := t.searchObjective(sctx, e, spec, rng, func(p *mapping.Partition) float64 {
 		return e.Similarity(p)
 	})
@@ -91,7 +83,7 @@ func (t *Tabu) SearchObjective(ctx context.Context, obj Objective, spec Spec, rn
 	if err := validateSpecShape(spec); err != nil {
 		return nil, err
 	}
-	sp, sctx := obs.StartSpanCtx(orBackground(ctx), "search.tabu", obs.F("restarts", t.Restarts), obs.F("parallel", t.Parallel))
+	sp, sctx := obs.StartSpanCtx(orBackground(ctx), "search.tabu", obs.F("restarts", t.Restarts))
 	res, err := t.searchObjective(sctx, obj, spec, rng, nil)
 	if err != nil {
 		sp.End(obs.F("err", true))
@@ -151,14 +143,10 @@ func validateSpecShape(spec Spec) error {
 // searchObjective is the shared Tabu core. traceF, when non-nil and
 // RecordTrace is set, maps partitions to the recorded trace value.
 //
-// Restart seeds are pre-drawn sequentially from rng and every restart is
-// fully independent (own starting partition, own incumbent for the
-// aspiration criterion), so the sequential and parallel paths return the
-// identical Result for one rng state.
+// Restart seeds are pre-drawn from rng and every restart is fully
+// independent (own starting partition, own incumbent for the aspiration
+// criterion); the restarts run in sequence and merge in restart order.
 func (t *Tabu) searchObjective(ctx context.Context, obj Objective, spec Spec, rng *rand.Rand, traceF func(*mapping.Partition) float64) (*Result, error) {
-	if t.Parallel {
-		return t.searchParallel(ctx, obj, spec, rng)
-	}
 	seeds := restartSeeds(rng, t.Restarts)
 	merged := &Result{}
 	globalIter := 0
@@ -180,8 +168,7 @@ func (t *Tabu) searchObjective(ctx context.Context, obj Objective, spec Spec, rn
 }
 
 // restartSeeds pre-draws one seed per restart, making the set of starting
-// partitions a pure function of the incoming rng state in both the
-// sequential and parallel modes.
+// partitions a pure function of the incoming rng state.
 func restartSeeds(rng *rand.Rand, n int) []int64 {
 	seeds := make([]int64, n)
 	for i := range seeds {
@@ -205,8 +192,7 @@ func (t *Tabu) runSeededRestart(ctx context.Context, obj Objective, spec Spec, s
 }
 
 // mergeResult folds one restart's result into the aggregate, keeping the
-// strictly better incumbent (first restart wins ties, matching the
-// sequential visit order).
+// strictly better incumbent (the first restart wins ties).
 func mergeResult(dst, src *Result) {
 	dst.Evaluations += src.Evaluations
 	dst.Iterations += src.Iterations
@@ -306,37 +292,6 @@ func (t *Tabu) runRestart(ctx context.Context, obj Objective, p *mapping.Partiti
 			obs.F("best", res.BestIntraSum))
 	}
 	return nil
-}
-
-// searchParallel runs the restarts on par.Local's workers. It runs the
-// exact per-restart procedure of the sequential path on the same pre-drawn
-// seeds and merges in restart order, so the outcome is identical to the
-// sequential run regardless of scheduling. A restart's error, a
-// cancellation or a recovered panic stops the remaining restarts and is
-// returned.
-func (t *Tabu) searchParallel(ctx context.Context, obj Objective, spec Spec, rng *rand.Rand) (*Result, error) {
-	if t.RecordTrace {
-		return nil, fmt.Errorf("search: Tabu trace recording is not supported with Parallel")
-	}
-	seeds := restartSeeds(rng, t.Restarts)
-	results := make([]*Result, t.Restarts)
-	var finished atomic.Int64
-	noState := func() struct{} { return struct{}{} }
-	err := par.Local(ctx, t.Restarts, noState, func(ctx context.Context, _ struct{}, i int) error {
-		iter := 0
-		res, err := t.runSeededRestart(ctx, obj, spec, seeds[i], i, &iter, nil)
-		results[i] = res
-		obs.Progress("search.tabu", finished.Add(1), int64(t.Restarts))
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged := &Result{}
-	for _, res := range results {
-		mergeResult(merged, res)
-	}
-	return merged, nil
 }
 
 // bestMove scans all inter-cluster swaps and returns the non-tabu move
