@@ -187,19 +187,14 @@ func TestLoseMessageMultiBufferWorm(t *testing.T) {
 	victim := none
 	for c := 0; c < 2000 && victim == none; c++ {
 		sim.step()
-		span := make(map[int32]map[int32]bool)
+		span := make(map[int32]int)
 		for bid := range sim.bufs {
-			b := &sim.bufs[bid]
-			for i := b.head; i < len(b.q); i++ {
-				mi := b.q[i].msg
-				if span[mi] == nil {
-					span[mi] = make(map[int32]bool)
-				}
-				span[mi][int32(bid)] = true
+			if b := &sim.bufs[bid]; b.n > 0 {
+				span[b.msg]++
 			}
 		}
-		for mi, bs := range span {
-			if len(bs) >= 3 {
+		for mi, k := range span {
+			if k >= 3 {
 				victim = mi
 				break
 			}
@@ -211,16 +206,14 @@ func TestLoseMessageMultiBufferWorm(t *testing.T) {
 	owned, routed, victimFlits := 0, 0, 0
 	for bid := range sim.bufs {
 		b := &sim.bufs[bid]
-		if b.owner == victim {
+		if b.msg == victim && b.srcHost < 0 {
 			owned++
 		}
 		if b.routedMsg == victim {
 			routed++
 		}
-		for i := b.head; i < len(b.q); i++ {
-			if b.q[i].msg == victim {
-				victimFlits++
-			}
+		if b.msg == victim {
+			victimFlits += int(b.n)
 		}
 	}
 	if owned == 0 || routed == 0 {
@@ -232,16 +225,14 @@ func TestLoseMessageMultiBufferWorm(t *testing.T) {
 
 	for bid := range sim.bufs {
 		b := &sim.bufs[bid]
-		if b.owner == victim {
+		if b.msg == victim && b.srcHost < 0 {
 			t.Fatalf("buffer %d still owned by the lost message", bid)
 		}
 		if b.routedMsg == victim {
 			t.Fatalf("buffer %d still routed for the lost message", bid)
 		}
-		for i := b.head; i < len(b.q); i++ {
-			if b.q[i].msg == victim {
-				t.Fatalf("buffer %d still holds a flit of the lost message", bid)
-			}
+		if b.msg == victim && b.n > 0 {
+			t.Fatalf("buffer %d still holds a flit of the lost message", bid)
 		}
 	}
 	if got := sim.inflight(); got != pre-victimFlits {

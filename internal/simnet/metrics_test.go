@@ -105,42 +105,6 @@ func TestSaturatedEdgeCases(t *testing.T) {
 	}
 }
 
-func TestBufferPopCompaction(t *testing.T) {
-	// The ring-buffer compaction path in pop() must preserve FIFO order.
-	b := &buffer{cap: 0, srcHost: 0}
-	const total = 5000
-	for i := int32(0); i < total; i++ {
-		b.push(flit{msg: 0, seq: i})
-	}
-	compacted := false
-	for i := int32(0); i < total; i++ {
-		f := b.pop()
-		if b.head == 0 && i > 0 {
-			compacted = true
-		}
-		if f.seq != i {
-			t.Fatalf("pop %d returned seq %d", i, f.seq)
-		}
-		// Interleave pushes to exercise compaction with nonempty tails.
-		if i%3 == 0 {
-			b.push(flit{msg: 0, seq: total + i})
-		}
-	}
-	if !compacted {
-		t.Fatal("head-compaction path (head > 1024) never triggered")
-	}
-	// The interleaved tail (total/3 + 1 pushes survive) must drain in
-	// order after compaction moved it to the front of q.
-	prev := int32(-1)
-	for b.len() > 0 {
-		f := b.pop()
-		if f.seq <= prev {
-			t.Fatalf("tail drained out of order: %d after %d", f.seq, prev)
-		}
-		prev = f.seq
-	}
-}
-
 func TestPerClusterMetrics(t *testing.T) {
 	r := newRig(t, 8, 4, 3, 1, false)
 	clusters := make([]int, r.net.Hosts())
