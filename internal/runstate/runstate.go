@@ -76,9 +76,9 @@ type Identity struct {
 	Topologies map[string]string `json:"topologies,omitempty"`
 }
 
-// canonical returns the comparison form of an identity: its JSON
-// encoding with the schema pinned (Go marshals maps with sorted keys, so
-// equal identities encode to equal bytes).
+// canonical returns the comparison form of this run's identity: its
+// JSON encoding with the schema pinned (Go marshals maps with sorted
+// keys, so equal identities encode to equal bytes).
 func (id Identity) canonical() ([]byte, error) {
 	id.Schema = SchemaVersion
 	return json.Marshal(id)
@@ -217,7 +217,9 @@ func open(dir string, id Identity, workerID string) (*Store, error) {
 	if err := json.Unmarshal(data, &have); err != nil {
 		return nil, fmt.Errorf("runstate: %s is not a checkpoint identity: %w", idPath, err)
 	}
-	got, err := have.canonical()
+	// The identity on disk keeps the schema it was written under, so one
+	// of another schema differs from this run's and is refused.
+	got, err := json.Marshal(have)
 	if err != nil {
 		return nil, err
 	}

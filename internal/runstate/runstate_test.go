@@ -1,6 +1,7 @@
 package runstate
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -202,6 +203,31 @@ func TestIdentityMismatchRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.Close()
+}
+
+// TestIdentitySchemaMismatchRefused writes this run's identity under
+// another schema: Open must refuse it and leave the file as it was.
+func TestIdentitySchemaMismatchRefused(t *testing.T) {
+	dir := t.TempDir()
+	id := testIdentity()
+	id.Schema = SchemaVersion + 1
+	data, err := json.Marshal(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "identity.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir, testIdentity()); !errors.Is(err, ErrIdentityMismatch) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("err = %v, want ErrIdentityMismatch", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("refused Open changed identity.json: %q, then %q (%v)", data, after, err)
+	}
 }
 
 func TestSnapshotCompaction(t *testing.T) {
