@@ -9,8 +9,11 @@ import (
 	"strings"
 )
 
-// gatedMetrics are the units compare gates on. For both, higher is worse.
-var gatedMetrics = []string{"ns/op", "allocs/op"}
+// gatedMetrics are the units compare gates on. For each, higher is worse.
+// B/op stands beside allocs/op because go test prints allocs/op truncated
+// to an integer: a change that grows its allocations' sizes, or their
+// count by less than one per op, moves only B/op.
+var gatedMetrics = []string{"ns/op", "B/op", "allocs/op"}
 
 // Summary is one side's samples of one metric.
 type Summary struct {

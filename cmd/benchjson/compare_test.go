@@ -106,6 +106,35 @@ func TestCompareZeroToNonzeroAllocsRegresses(t *testing.T) {
 	}
 }
 
+// withBytes sets the B/op of each sample to the matching value.
+func withBytes(bs []Benchmark, bytes ...float64) []Benchmark {
+	for i := range bs {
+		bs[i].Metrics["B/op"] = bytes[i]
+	}
+	return bs
+}
+
+// TestCompareBytesGated: B/op is gated under the same rule as ns/op and
+// allocs/op. Bytes per op 50 % higher at equal time and equal (truncated)
+// allocs/op fail on the B/op row alone; 4 % higher passes.
+func TestCompareBytesGated(t *testing.T) {
+	base := withBytes(samples("BenchmarkA", 3, ramp(1000, 1)...), ramp(4000, 8)...)
+	grown := withBytes(samples("BenchmarkA", 3, ramp(1000, 1)...), ramp(6000, 8)...)
+	code, out := runCompareOn(t, base, grown)
+	if code == 0 {
+		t.Fatalf("exit code 0 for a separated 50%% B/op growth\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "m.BenchmarkA") && strings.Contains(line, "REGRESSION") != strings.Contains(line, "B/op") {
+			t.Fatalf("want a regression on the B/op row only, got %q\n%s", line, out)
+		}
+	}
+	slight := withBytes(samples("BenchmarkA", 3, ramp(1000, 1)...), ramp(4160, 8)...)
+	if code, out := runCompareOn(t, base, slight); code != 0 {
+		t.Fatalf("exit code %d for a 4%% B/op growth under the %.0f%% minimum effect\n%s", code, minEffect*100, out)
+	}
+}
+
 // TestCompareIdenticalSamplesNeverFail: the same samples on both sides,
 // constant or spread, never regress.
 func TestCompareIdenticalSamplesNeverFail(t *testing.T) {

@@ -22,8 +22,8 @@ const (
 	benchtime = "200ms"
 	// alpha is the one-sided Mann-Whitney significance level.
 	alpha = 0.01
-	// minEffect is the smallest relative growth of a median ns/op or
-	// allocs/op that can fail the gate.
+	// minEffect is the smallest relative growth of a median ns/op, B/op
+	// or allocs/op that can fail the gate.
 	minEffect = 0.10
 	// gateDir holds the base worktree and the test binaries while the
 	// gate runs, and both sides' reports and the record after; it is
