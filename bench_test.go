@@ -368,7 +368,10 @@ func BenchmarkAblationVirtualChannels(b *testing.B) {
 
 // BenchmarkSimulatorSteadyState times the simulation loop alone: the
 // simulator is built and warmed outside the timer, so the measured region
-// is the allocation-free steady state (expect ~0 allocs/op).
+// is the allocation-free steady state (expect 0 allocs/op). Buffers are
+// counters and need no storage; what grows during warmup is the message
+// arena, the pending-message FIFOs, residency trails and routed lists,
+// each to its working size.
 func BenchmarkSimulatorSteadyState(b *testing.B) {
 	net, err := experiments.Network16()
 	if err != nil {
@@ -383,8 +386,8 @@ func BenchmarkSimulatorSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	// The rate must sit below uniform-traffic saturation: past saturation
-	// the source queues (and the message arena) grow without bound, which
-	// is real allocation, not overhead.
+	// the pending-message FIFOs grow without bound, which is real
+	// allocation, not overhead.
 	sim, err := simnet.New(net, rt, pattern, simnet.Config{
 		InjectionRate: 0.05, Seed: 3,
 	})
@@ -392,7 +395,7 @@ func BenchmarkSimulatorSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	const chunk = 2000
-	sim.Advance(20 * chunk) // warm: populate buffers and the message arena
+	sim.Advance(20 * chunk) // warm: grow the arena, FIFOs and lists
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
