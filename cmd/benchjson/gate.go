@@ -44,6 +44,7 @@ var gated = []struct{ dir, bench string }{
 	{"internal/obs", "^(BenchmarkDisabled.*|BenchmarkMemoryEvent)$"},
 	{"internal/heft", "^BenchmarkScheduleDAG$"},
 	{"internal/telemetry", "^BenchmarkWritePrometheus$"},
+	{"internal/lease", "^(BenchmarkClaimDone|BenchmarkPoolLoop)$"},
 }
 
 // gateRecord is what the gate writes to gateDir/gate.json.

@@ -6,8 +6,9 @@
 //	benchjson compare old.json new.json
 //	benchjson gate HEAD          # what `make bench-gate BASE=HEAD` runs
 //
-// Every benchmark line is parsed into its name, GOMAXPROCS suffix,
-// iteration count, and the full set of value/unit metric pairs —
+// Every benchmark line is parsed into its name, GOMAXPROCS suffix (see
+// splitProcs), iteration count, and the full set of value/unit metric
+// pairs —
 // including the custom b.ReportMetric quantities the repro benchmarks
 // emit (throughput gains, correlations, Cc), not just ns/op. A
 // non-finite value (NaN, ±Inf) has no JSON encoding, so its pair is
@@ -133,6 +134,7 @@ func writeJSON(path string, v any) error {
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{Benchmarks: []Benchmark{}}
 	pkg := ""
+	block := 0 // index of the first benchmark since the last pkg: line
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -146,6 +148,8 @@ func parse(r io.Reader) (*Report, error) {
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "pkg: "):
 			pkg = strings.TrimPrefix(line, "pkg: ")
+			splitProcs(rep.Benchmarks[block:])
+			block = len(rep.Benchmarks)
 		case strings.HasPrefix(line, "Benchmark"):
 			b, dropped, ok := parseBenchLine(line)
 			if ok {
@@ -158,10 +162,46 @@ func parse(r io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	splitProcs(rep.Benchmarks[block:])
 	return rep, nil
 }
 
-// parseBenchLine parses one result line:
+// splitProcs moves the -N GOMAXPROCS suffix off the names of one pkg:
+// block's benchmarks into Procs. go test prints that suffix only when
+// GOMAXPROCS is not 1, and a sub-benchmark name can end in -N too, so a
+// trailing -N counts only when every line of the block has one, or when
+// the name without it also appears in the block (a -cpu list with 1).
+func splitProcs(bs []Benchmark) {
+	names := make(map[string]bool, len(bs))
+	all := true
+	for _, b := range bs {
+		names[b.Name] = true
+		if _, _, ok := cutProcs(b.Name); !ok {
+			all = false
+		}
+	}
+	for k, b := range bs {
+		if name, procs, ok := cutProcs(b.Name); ok && (all || names[name]) {
+			bs[k].Name, bs[k].Procs = name, procs
+		}
+	}
+}
+
+// cutProcs splits a trailing -N off name; only a pure-digit suffix
+// counts, since benchmark names can contain dashes.
+func cutProcs(name string) (base string, procs int, ok bool) {
+	i := strings.LastIndex(name, "-")
+	if i <= 0 {
+		return name, 0, false
+	}
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 0, false
+	}
+	return name[:i], procs, true
+}
+
+// parseBenchLine parses one result line, keeping the name whole:
 //
 //	BenchmarkName-8   	     100	  11843 ns/op	  0.8021 Cc	  16 B/op
 //
@@ -179,13 +219,6 @@ func parseBenchLine(line string) (b Benchmark, dropped int, ok bool) {
 		return Benchmark{}, 0, false
 	}
 	b = Benchmark{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
-	// Split a trailing -N GOMAXPROCS suffix off the name. Sub-benchmark
-	// names can contain dashes, so only a pure-digit suffix counts.
-	if i := strings.LastIndex(b.Name, "-"); i > 0 {
-		if procs, err := strconv.Atoi(b.Name[i+1:]); err == nil {
-			b.Name, b.Procs = b.Name[:i], procs
-		}
-	}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

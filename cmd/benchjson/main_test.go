@@ -63,6 +63,46 @@ func TestParseSample(t *testing.T) {
 	}
 }
 
+// TestParseProcsSuffixPerBlock: go test prints no -N suffix at
+// GOMAXPROCS=1, so a sub-benchmark's own trailing -N stays in its name
+// unless the whole pkg: block is suffixed or the bare name also ran (a
+// -cpu list with 1).
+func TestParseProcsSuffixPerBlock(t *testing.T) {
+	in := `pkg: one/cpu
+BenchmarkX/size-4   10   1000 ns/op
+BenchmarkY          10   2000 ns/op
+pkg: cpu/list
+BenchmarkX/size-4     10   1000 ns/op
+BenchmarkX/size-4-2   10    600 ns/op
+BenchmarkY            10   2000 ns/op
+BenchmarkY-2          10   1100 ns/op
+pkg: two/cpus
+BenchmarkX/size-4-2   10    600 ns/op
+BenchmarkY-2          10   1100 ns/op
+`
+	rep, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type np struct {
+		name  string
+		procs int
+	}
+	want := []np{
+		{"BenchmarkX/size-4", 0}, {"BenchmarkY", 0},
+		{"BenchmarkX/size-4", 0}, {"BenchmarkX/size-4", 2}, {"BenchmarkY", 0}, {"BenchmarkY", 2},
+		{"BenchmarkX/size-4", 2}, {"BenchmarkY", 2},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d: %+v", len(rep.Benchmarks), len(want), rep.Benchmarks)
+	}
+	for k, b := range rep.Benchmarks {
+		if got := (np{b.Name, b.Procs}); got != want[k] {
+			t.Errorf("line %d (%s): name %q procs %d, want %q procs %d", k, b.Pkg, got.name, got.procs, want[k].name, want[k].procs)
+		}
+	}
+}
+
 func TestParseSkipsNonResultLines(t *testing.T) {
 	rep, err := parse(strings.NewReader("Benchmark: starting\nnonsense\nok pkg 1s\n"))
 	if err != nil {

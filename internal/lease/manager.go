@@ -2,7 +2,9 @@ package lease
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,6 +42,10 @@ const (
 // ErrHeld reports that a unit's lease is currently held (and not
 // expired) by another worker.
 var ErrHeld = fmt.Errorf("lease: unit is held by another worker")
+
+// ErrDone reports that the unit already has a done marker: it must be
+// replayed from the shared store, never run again.
+var ErrDone = errors.New("lease: unit is already done")
 
 // ErrLost reports that this worker's lease was taken over (a higher
 // fencing token now owns the unit) — the worker was presumed dead and
@@ -114,7 +120,7 @@ func Open(base, owner string, ttl time.Duration) (*Manager, error) {
 		ttl = 5 * time.Second
 	}
 	dir := filepath.Join(base, "lease")
-	for _, sub := range []string{"units", "tokens", "done", "workers"} {
+	for _, sub := range []string{"units", "tokens", "done", "workers", "tmp"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("lease: creating %s: %w", sub, err)
 		}
@@ -236,8 +242,9 @@ func (m *Manager) Holder(unit string) (rec Record, held, expired bool) {
 	}
 	rec, perr := Parse(data)
 	if perr != nil {
-		// A torn lease write: the claimer crashed between create and
-		// write. There is no deadline to honor, so it is reclaimable now.
+		// An unparsable lease (an alien or damaged file; publish never
+		// exposes a partial record). There is no deadline to honor, so it
+		// is reclaimable now.
 		return Record{}, false, true
 	}
 	if m.now().UnixNano() >= rec.Expires {
@@ -247,13 +254,17 @@ func (m *Manager) Holder(unit string) (rec Record, held, expired bool) {
 	return rec, true, false
 }
 
-// Acquire claims the unit: a fresh O_EXCL creation when no lease file
-// exists, or an atomic-rename takeover when the existing lease is
-// expired or torn. stolen tags fresh claims the pool considers outside
-// this worker's preferred partition (accounting only). It returns
-// ErrHeld when the unit is validly leased by someone else or when a
-// concurrent claim wins the race.
+// Acquire claims the unit: a fresh claim is linked into place when no
+// lease file exists, an expired or torn lease is taken over by rename.
+// stolen tags fresh claims the pool considers outside this worker's
+// preferred partition (accounting only). It returns ErrHeld when the
+// unit is validly leased by someone else or when a concurrent claim wins
+// the race, and ErrDone when the unit has a done marker, whether seen
+// before the claim or after winning it.
 func (m *Manager) Acquire(unit string, stolen bool) (*Lease, error) {
+	if _, done := m.Done(unit); done {
+		return nil, ErrDone
+	}
 	prev, held, expired := m.Holder(unit)
 	if held {
 		return nil, ErrHeld
@@ -264,34 +275,18 @@ func (m *Manager) Acquire(unit string, stolen bool) (*Lease, error) {
 	}
 	now := m.now()
 	rec := Record{Token: tok, Owner: m.owner, Unit: unit, Expires: now.Add(m.ttl).UnixNano()}
-	path := m.unitPath(unit)
 	if !expired {
-		// Fresh unit: O_EXCL decides the winner outright.
-		f, cerr := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if cerr != nil {
-			if os.IsExist(cerr) {
-				m.count(func(s *Stats) { s.Conflicts++ })
-				return nil, ErrHeld
-			}
-			return nil, fmt.Errorf("lease: claiming %s: %w", unit, cerr)
-		}
-		_, werr := f.WriteString(rec.String())
-		if serr := f.Sync(); werr == nil {
-			werr = serr
-		}
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return nil, fmt.Errorf("lease: writing lease for %s: %w", unit, werr)
-		}
-	} else {
-		// Takeover of an expired/torn lease: write-then-rename is atomic,
-		// but two reclaimers can rename back to back — the read-back
-		// decides who actually holds the unit now.
-		if err := m.writeRename(path, rec); err != nil {
+		// Fresh unit: the link decides the winner outright, like O_EXCL.
+		if err := m.publish(m.unitPath(unit), rec, os.Link); errors.Is(err, fs.ErrExist) {
+			m.count(func(s *Stats) { s.Conflicts++ })
+			return nil, ErrHeld
+		} else if err != nil {
 			return nil, err
 		}
+	} else if err := m.publish(m.unitPath(unit), rec, os.Rename); err != nil {
+		// Takeover of an expired/torn lease: two reclaimers can rename back
+		// to back, so the read-back below decides who holds the unit now.
+		return nil, err
 	}
 	// Read-back verification closes every race: a concurrent takeover
 	// that renamed after us leaves a different token in the file, and the
@@ -300,6 +295,13 @@ func (m *Manager) Acquire(unit string, stolen bool) (*Lease, error) {
 	if !curHeld || cur.Token != tok {
 		m.count(func(s *Stats) { s.Conflicts++ })
 		return nil, ErrHeld
+	}
+	// A holder marks its unit done before it releases the lease, so the
+	// marker of a unit completed and released since the check above is
+	// visible now that the claim has won: hand the unit back.
+	if _, done := m.Done(unit); done {
+		m.Release(&Lease{Unit: unit, Token: tok})
+		return nil, ErrDone
 	}
 	mode := ModeOwned
 	switch {
@@ -340,7 +342,7 @@ func (m *Manager) Renew(l *Lease) error {
 	}
 	rec := cur
 	rec.Expires = m.now().Add(m.ttl).UnixNano()
-	if err := m.writeRename(m.unitPath(l.Unit), rec); err != nil {
+	if err := m.publish(m.unitPath(l.Unit), rec, os.Rename); err != nil {
 		return err
 	}
 	// The rename could have raced a takeover; only the read-back tells.
@@ -370,40 +372,28 @@ func (m *Manager) Release(l *Lease) {
 
 // ---- completion markers ----
 
-// MarkDone publishes the unit's completion under the given token: an
-// O_EXCL creation, so the first valid completion wins and every later
-// duplicate (speculation, zombie) learns it lost. dur is the execution
-// wall time; unitErr, when non-nil, marks a deterministic permanent
-// failure so sibling workers stop waiting for a success that cannot come.
+// MarkDone publishes the unit's completion under the given token. The
+// marker is linked into place whole, so the first valid completion wins
+// and every later duplicate (speculation, zombie) learns it lost. dur is
+// the execution wall time; unitErr, when non-nil, marks a deterministic
+// permanent failure so sibling workers stop waiting for a success that
+// cannot come.
 func (m *Manager) MarkDone(unit string, token uint64, dur time.Duration, unitErr error) (won bool, err error) {
 	rec := Record{Token: token, Owner: m.owner, Unit: unit,
 		Expires: m.now().UnixNano(), Dur: int64(dur)}
 	if unitErr != nil {
 		rec.Err = unitErr.Error()
 	}
-	f, cerr := os.OpenFile(m.donePath(unit), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if cerr != nil {
-		if os.IsExist(cerr) {
-			return false, nil
-		}
-		return false, fmt.Errorf("lease: marking %s done: %w", unit, cerr)
-	}
-	_, werr := f.WriteString(rec.String())
-	if serr := f.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return false, fmt.Errorf("lease: writing done marker for %s: %w", unit, werr)
+	if err := m.publish(m.donePath(unit), rec, os.Link); errors.Is(err, fs.ErrExist) {
+		return false, nil
+	} else if err != nil {
+		return false, err
 	}
 	return true, nil
 }
 
 // Done reports whether the unit has a completion marker, returning it.
-// A torn marker (crash mid-write) reads as not-done; the marker is
-// rewritten by whoever completes the unit next.
+// An unparsable marker (an alien or damaged file) reads as not-done.
 func (m *Manager) Done(unit string) (Record, bool) {
 	data, err := os.ReadFile(m.donePath(unit))
 	if err != nil {
@@ -411,8 +401,8 @@ func (m *Manager) Done(unit string) (Record, bool) {
 	}
 	rec, perr := Parse(data)
 	if perr != nil {
-		// Torn done marker: remove it so a future completion can O_EXCL a
-		// fresh one; the result journal is the source of truth anyway.
+		// Remove it so a future completion can link a fresh one; the
+		// result journal is the source of truth anyway.
 		os.Remove(m.donePath(unit))
 		return Record{}, false
 	}
@@ -474,29 +464,30 @@ func (m *Manager) LiveWorkers(window time.Duration) []string {
 
 // ---- helpers ----
 
-// writeRename publishes rec at path via tmp file + fsync + rename. The
-// tmp name embeds the owner and token so concurrent writers never tread
-// on each other's temp files.
-func (m *Manager) writeRename(path string, rec Record) error {
-	tmp := fmt.Sprintf("%s.%s.%d.tmp", path, sanitize(rec.Owner), rec.Token)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// publish writes rec to a temp file under tmp/, fsyncs it and puts it
+// at path with place, so a reader sees no file or a whole record, never
+// a torn one. os.Link never replaces a file: it fails with an error
+// matching fs.ErrExist, the same first-wins rule as O_EXCL. os.Rename
+// replaces one. Temp files live outside units/ and done/, so nothing
+// that scans those ever sees one.
+func (m *Manager) publish(path string, rec Record, place func(oldname, newname string) error) error {
+	tmp, err := os.CreateTemp(filepath.Join(m.dir, "tmp"), filepath.Base(path)+".*")
 	if err != nil {
-		return fmt.Errorf("lease: temp lease file: %w", err)
+		return fmt.Errorf("lease: temp file: %w", err)
 	}
-	_, werr := f.WriteString(rec.String())
-	if serr := f.Sync(); werr == nil {
+	defer os.Remove(tmp.Name())
+	_, werr := tmp.WriteString(rec.String())
+	if serr := tmp.Sync(); werr == nil {
 		werr = serr
 	}
-	if cerr := f.Close(); werr == nil {
+	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("lease: writing %s: %w", tmp, werr)
+		return fmt.Errorf("lease: writing %s: %w", path, werr)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("lease: publishing lease: %w", err)
+	if err := place(tmp.Name(), path); err != nil {
+		return fmt.Errorf("lease: publishing %s: %w", path, err)
 	}
 	return nil
 }

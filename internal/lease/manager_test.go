@@ -1,11 +1,17 @@
 package lease
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"commsched/internal/runstate"
 )
 
 func openTestManager(t *testing.T, dir, owner string, ttl time.Duration) *Manager {
@@ -186,5 +192,115 @@ func TestSanitizedUnitNamesStayDistinct(t *testing.T) {
 		if _, err := m.Acquire(u, false); !errors.Is(err, ErrHeld) {
 			t.Fatalf("re-acquire %q: %v, want ErrHeld (collision?)", u, err)
 		}
+	}
+}
+
+// TestDoneThenReleasedIsNeverLeased pins the done-then-released window: a
+// sibling that found no done marker must not win a fresh claim on a unit
+// whose holder marked it done and released it in between, and a pool
+// replays such a unit instead of running it.
+func TestDoneThenReleasedIsNeverLeased(t *testing.T) {
+	dir := t.TempDir()
+	m1 := openTestManager(t, dir, "w1", time.Minute)
+	m2 := openTestManager(t, dir, "w2", time.Minute)
+	complete := func(unit string) {
+		l, err := m1.Acquire(unit, false)
+		if err != nil {
+			t.Fatalf("w1 acquire %s: %v", unit, err)
+		}
+		if won, err := m1.MarkDone(unit, l.Token, time.Millisecond, nil); err != nil || !won {
+			t.Fatalf("w1 MarkDone %s: won=%v err=%v", unit, won, err)
+		}
+		m1.Release(l)
+	}
+
+	// The holder finishes after w2's done check but before w2 claims:
+	// w2's clock is first read between its lease check and its claim.
+	var once sync.Once
+	m2.now = func() time.Time {
+		once.Do(func() { complete("u1") })
+		return time.Now()
+	}
+	if l, err := m2.Acquire("u1", false); !errors.Is(err, ErrDone) {
+		t.Fatalf("claim raced by a completion: lease %+v, err %v; want ErrDone", l, err)
+	}
+	m2.now = time.Now
+	if _, err := os.Stat(m2.unitPath("u1")); !os.IsNotExist(err) {
+		t.Fatalf("the handed-back claim left its lease file behind: %v", err)
+	}
+
+	// The same unit, completed and released before w2 looks.
+	if l, err := m2.Acquire("u1", false); !errors.Is(err, ErrDone) {
+		t.Fatalf("claim of a done unit: lease %+v, err %v; want ErrDone", l, err)
+	}
+	if s := m2.Stats(); s.Acquired != 0 || s.Stolen != 0 || s.Conflicts != 0 {
+		t.Fatalf("w2 counted claims it handed back: %+v", s)
+	}
+
+	complete("loop/i000000")
+	pool := NewPool(m2, PoolOptions{Slots: 1})
+	var ran atomic.Int64
+	err := pool.runLoop(context.Background(), "loop", 1, func(ctx context.Context, i int) error {
+		if runstate.TokenFrom(ctx) != 0 {
+			ran.Add(1)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := pool.Stats(); ran.Load() != 0 || s.Executed != 0 || s.Replayed != 1 {
+		t.Fatalf("pool ran a done unit %d time(s); stats %+v, want 1 replay", ran.Load(), s)
+	}
+}
+
+// TestPublishedRecordsAreNeverTorn pins the torn-read window: a reader
+// that races a fresh claim or a done marker sees no file or a whole
+// record. Before claims and markers were linked into place whole, a
+// reader could find the file created but not yet written: Holder then
+// took the new lease for a torn one, free to reclaim, and Done deleted
+// the marker, so a unit whose MarkDone had won looked not done.
+func TestPublishedRecordsAreNeverTorn(t *testing.T) {
+	const units = 2000
+	dir := t.TempDir()
+	m := openTestManager(t, dir, "w1", time.Minute)
+	var tornLeases, lostMarkers int
+	for k := 0; k < units; k++ {
+		unit := fmt.Sprintf("u%d", k)
+		var stop atomic.Bool
+		var torn atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if _, _, expired := m.Holder(unit); expired {
+					torn.Add(1)
+				}
+				m.Done(unit)
+			}
+		}()
+		l, err := m.Acquire(unit, false)
+		if err != nil {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("Acquire(%s): %v", unit, err)
+		}
+		won, err := m.MarkDone(unit, l.Token, time.Millisecond, nil)
+		stop.Store(true)
+		wg.Wait()
+		if err != nil || !won {
+			t.Fatalf("MarkDone(%s): won=%v err=%v", unit, won, err)
+		}
+		if torn.Load() > 0 {
+			tornLeases++
+		}
+		if rec, ok := m.Done(unit); !ok || rec.Token != l.Token {
+			lostMarkers++
+		}
+	}
+	if tornLeases > 0 || lostMarkers > 0 {
+		t.Fatalf("of %d units, %d leases read as torn and %d markers were gone or unparsable after MarkDone won",
+			units, tornLeases, lostMarkers)
 	}
 }

@@ -44,6 +44,9 @@ type PoolStats struct {
 	SpecRuns   int64 `json:"spec_runs"`
 	SpecWins   int64 `json:"spec_wins"`
 	SpecLosses int64 `json:"spec_losses"`
+	// Wait is the slot time spent without progress: every unit left
+	// was held by a sibling, summed over the slots.
+	Wait time.Duration `json:"wait_ns"`
 }
 
 // Pool is the lease-backed par.Executor: every worker process runs the
@@ -69,6 +72,7 @@ type Pool struct {
 	specRuns   atomic.Int64
 	specWins   atomic.Int64
 	specLosses atomic.Int64
+	waitNs     atomic.Int64
 }
 
 // NewPool wraps a lease manager in a par.Executor.
@@ -91,6 +95,7 @@ func (p *Pool) Stats() PoolStats {
 		SpecRuns:   p.specRuns.Load(),
 		SpecWins:   p.specWins.Load(),
 		SpecLosses: p.specLosses.Load(),
+		Wait:       time.Duration(p.waitNs.Load()),
 	}
 }
 
@@ -251,25 +256,22 @@ func (p *Pool) runLoop(parent context.Context, loop string, n int, fn func(ctx c
 					r.fail(err)
 				}
 			}()
-			// Jitter decorrelates the workers' poll cadence so reclaim
-			// stampedes after a crash spread out; the seed is the worker
-			// identity, so a run's timing is reproducible per worker.
-			rng := rand.New(rand.NewSource(int64(ownerHash(p.m.Owner())) + int64(slot)))
+			idle := p.newWaiter(ctx, r, slot)
+			defer idle.end()
 			for {
 				if r.failed.Load() != nil || ctx.Err() != nil {
 					return
 				}
-				progressed, empty := p.step(ctx, r)
+				work, empty := p.step(ctx, r)
 				if empty {
 					return
 				}
-				if !progressed {
-					d := time.Duration(float64(p.pollEvery()) * (0.5 + rng.Float64()))
-					select {
-					case <-ctx.Done():
-					case <-time.After(d):
-					}
+				if work == nil {
+					idle.sleep()
+					continue
 				}
+				idle.end()
+				work()
 			}
 		}(w)
 	}
@@ -302,48 +304,95 @@ func (p *Pool) pollEvery() time.Duration {
 	return d
 }
 
+// waiter paces one slot while every unit it has left is held by a
+// sibling. The sleep starts at a millisecond and doubles after each
+// unproductive step up to pollEvery, so an idle slot sees a sibling's
+// done marker within about the time it has waited so far, at O(log)
+// extra reads of the shared directory per wait. Each stretch without
+// progress is one lease.wait span and adds to the pool's wait total.
+type waiter struct {
+	p    *Pool
+	ctx  context.Context
+	loop string
+	// rng jitters each sleep by ×[0.5, 1.5) to decorrelate the workers'
+	// polls, so reclaim stampedes after a crash spread out; the seed is
+	// the worker identity, so a run's timing is reproducible per worker.
+	rng     *rand.Rand
+	backoff time.Duration
+	start   time.Time // zero outside a stretch
+	polls   int
+	span    *obs.Span
+}
+
+func (p *Pool) newWaiter(ctx context.Context, r *loopRun, slot int) *waiter {
+	return &waiter{p: p, ctx: ctx, loop: r.loop, backoff: time.Millisecond,
+		rng: rand.New(rand.NewSource(int64(ownerHash(p.m.Owner())) + int64(slot)))}
+}
+
+// sleep follows an unproductive step: it opens a stretch if none is
+// open, then sleeps the jittered backoff and doubles it.
+func (w *waiter) sleep() {
+	if w.start.IsZero() {
+		w.start = time.Now()
+		w.span, _ = obs.StartSpanCtx(w.ctx, "lease.wait",
+			obs.F("loop", w.loop), obs.F("worker", w.p.m.Owner()))
+	}
+	w.polls++
+	t := time.NewTimer(time.Duration(float64(w.backoff) * (0.5 + w.rng.Float64())))
+	defer t.Stop()
+	w.backoff = min(2*w.backoff, w.p.pollEvery())
+	select {
+	case <-w.ctx.Done():
+	case <-t.C:
+	}
+}
+
+// end closes the open stretch, if any, and resets the backoff.
+func (w *waiter) end() {
+	w.backoff = time.Millisecond
+	if w.start.IsZero() {
+		return
+	}
+	w.p.waitNs.Add(int64(time.Since(w.start)))
+	w.span.End(obs.F("polls", w.polls))
+	w.start, w.polls, w.span = time.Time{}, 0, nil
+}
+
 // step makes one scheduling decision for a slot: replay a unit someone
-// finished, claim (own/steal/reclaim) and execute a free one, or — when
-// everything left is validly held elsewhere — maybe speculate on a
-// straggler. It reports whether it did work, and whether the loop has
-// nothing left to hand out.
-func (p *Pool) step(ctx context.Context, r *loopRun) (progressed, empty bool) {
+// finished, claim (own/steal/reclaim) a free one, or — when everything
+// left is validly held elsewhere — maybe speculate on a straggler. It
+// returns the work it decided on (nil when there is none yet), and
+// whether the loop has nothing left to hand out.
+func (p *Pool) step(ctx context.Context, r *loopRun) (work func(), empty bool) {
 	cands := p.candidates(r)
 	if cands == nil {
-		return false, true
+		return nil, true
 	}
 	now := time.Now()
 	for _, c := range cands {
-		unit := r.unitID(c.i)
-		if rec, done := p.m.Done(unit); done {
-			if !r.claim(c.i) {
-				continue
-			}
-			p.replay(ctx, r, c.i, rec)
-			return true, false
-		}
 		if !r.claim(c.i) {
 			continue
 		}
+		unit := r.unitID(c.i)
 		l, err := p.m.Acquire(unit, c.stolen)
-		if errors.Is(err, ErrHeld) {
+		switch {
+		case errors.Is(err, ErrHeld):
 			r.requeue(c.i, now)
 			continue
+		case errors.Is(err, ErrDone):
+			rec, _ := p.m.Done(unit)
+			return func() { p.replay(ctx, r, c.i, rec) }, false
+		case err != nil:
+			return func() { r.fail(err) }, false
 		}
-		if err != nil {
-			r.fail(err)
-			return true, false
-		}
-		p.execute(ctx, r, c.i, l)
-		return true, false
+		return func() { p.execute(ctx, r, c.i, l) }, false
 	}
 	if p.opts.Speculate {
 		if i, ok := p.pickStraggler(r, now); ok {
-			p.speculateOn(ctx, r, i)
-			return true, false
+			return func() { p.speculateOn(ctx, r, i) }, false
 		}
 	}
-	return false, false
+	return nil, false
 }
 
 type candidate struct {
@@ -567,7 +616,8 @@ func (p *Pool) emitStatus() {
 		obs.F("replayed", s.Replayed),
 		obs.F("spec_runs", s.SpecRuns),
 		obs.F("spec_wins", s.SpecWins),
-		obs.F("spec_losses", s.SpecLosses))
+		obs.F("spec_losses", s.SpecLosses),
+		obs.F("wait_ms", float64(s.Wait)/float64(time.Millisecond)))
 }
 
 func ownerHash(owner string) uint64 {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"commsched/internal/obs"
 	"commsched/internal/runstate"
 )
 
@@ -311,5 +312,98 @@ func TestPoolLoopIDsAgreeAcrossWorkers(t *testing.T) {
 	if a.loopID(runstate.WithScope(context.Background(), "other"), "par.foreach", 18) ==
 		b.loopID(ctx, "par.foreach", 18) {
 		t.Fatal("distinct scopes produced the same loop ID")
+	}
+}
+
+// TestPoolWakesSoonAfterSiblingDone pins the idle backoff: at the default
+// 5 s TTL, a worker whose last unit is held by a sibling replays it
+// within milliseconds of the sibling's done marker. A fixed TTL/4 poll
+// sleeps 625 ms or more before its first look. The wait is one lease.wait
+// span and shows in the pool's wait total.
+func TestPoolWakesSoonAfterSiblingDone(t *testing.T) {
+	mem := &obs.Memory{}
+	obs.SetSink(mem)
+	defer obs.SetSink(nil)
+	dir := t.TempDir()
+	// Both register before either loop starts, so the stripe over the
+	// live set [a b] gives unit 0 to a and unit 1 to b.
+	a := NewPool(openTestManager(t, dir, "a", 0), PoolOptions{Slots: 1})
+	b := NewPool(openTestManager(t, dir, "b", 0), PoolOptions{Slots: 1})
+	if ttl := b.Manager().TTL(); ttl != 5*time.Second {
+		t.Fatalf("default TTL %v, want 5s", ttl)
+	}
+	aStarted := make(chan struct{})
+	var aEnd time.Time
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		err := a.RunLoop(context.Background(), "loop", 2, func(ctx context.Context, i int) error {
+			if i == 0 && runstate.TokenFrom(ctx) != 0 {
+				close(aStarted)
+				time.Sleep(100 * time.Millisecond)
+				aEnd = time.Now()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("a: %v", err)
+		}
+	}()
+	err := b.RunLoop(context.Background(), "loop", 2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			// b's own unit finishes at once, but only after a holds unit 0.
+			select {
+			case <-aStarted:
+			case <-time.After(10 * time.Second):
+				return fmt.Errorf("a never started unit 0")
+			}
+		}
+		return nil
+	})
+	bEnd := time.Now()
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("b: %v", err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	if as, bs := a.Stats(), b.Stats(); as.Executed != 1 || bs.Executed != 1 || bs.Replayed != 1 {
+		t.Fatalf("a executed %d, b executed %d and replayed %d; want 1, 1 and 1", as.Executed, bs.Executed, bs.Replayed)
+	}
+	if lag := bEnd.Sub(aEnd); lag >= 400*time.Millisecond {
+		t.Errorf("b returned %v after a's last unit ended, want < 400ms", lag)
+	}
+	if w := b.Stats().Wait; w < 50*time.Millisecond {
+		t.Errorf("b's wait total %v, want about the 100 ms it waited for a", w)
+	}
+	var waits int
+	for _, rec := range mem.ByName("lease.wait") {
+		f := map[string]any{}
+		for _, fl := range rec.Fields {
+			f[fl.Key] = fl.Value
+		}
+		if f["worker"] != "b" {
+			continue
+		}
+		waits++
+		if polls, _ := f["polls"].(int); polls < 1 || !strings.HasPrefix(fmt.Sprint(f["loop"]), "loop~2~") {
+			t.Errorf("lease.wait span fields %v, want the loop and at least one poll", f)
+		}
+	}
+	if waits != 1 {
+		t.Errorf("b recorded %d lease.wait span(s), want 1", waits)
+	}
+	var sawWaitMs bool
+	for _, rec := range mem.ByName("lease.status") {
+		for _, fl := range rec.Fields {
+			if v, ok := fl.Value.(float64); ok && fl.Key == "wait_ms" && v > 0 {
+				sawWaitMs = true
+			}
+		}
+	}
+	if !sawWaitMs {
+		t.Error("no lease.status event carried a positive wait_ms")
 	}
 }

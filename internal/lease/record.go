@@ -8,16 +8,21 @@
 // <dir>/lease/:
 //
 //	units/<unit>.lease — the current lease on a unit. A fresh unit is
-//	    claimed by O_EXCL creation (exactly one winner); an expired
-//	    lease is taken over by atomic rename with a freshly allocated
-//	    fencing token, and the rename winner is decided by read-back.
+//	    claimed by hard-linking a whole record into place (exactly one
+//	    winner, like O_EXCL); an expired lease is taken over by atomic
+//	    rename with a freshly allocated fencing token, and the rename
+//	    winner is decided by read-back.
 //	tokens/t<n>       — the fencing-token allocator: creating t<n> with
 //	    O_EXCL allocates token n, so tokens are globally unique and
 //	    monotonically increasing across all workers.
-//	done/<unit>.done  — completion markers, created with O_EXCL after
-//	    the unit's result is durably journaled: the first valid
-//	    completion wins, later duplicates (speculation, zombies) detect
-//	    the loss and stand down.
+//	done/<unit>.done  — completion markers, linked into place after the
+//	    unit's result is durably journaled: the first valid completion
+//	    wins, later duplicates (speculation, zombies) detect the loss
+//	    and stand down. No unit is leased once its marker exists.
+//
+// Leases and markers are written to temp files under tmp/ and fsync'd
+// before they are linked or renamed into place, so a reader never sees
+// a partial record.
 //
 // Fencing makes zombies harmless: every result is journaled under the
 // fencing token it was computed with, and the journal merge keeps the

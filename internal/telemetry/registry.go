@@ -361,7 +361,7 @@ func (g *Registry) writeExposition(w io.Writer, exemplars bool) error {
 	}
 
 	if len(g.leaseGauges) > 0 {
-		b.WriteString("# HELP commsched_lease Distributed lease pool counters (latest lease.status event): acquisitions, steals, reclaims, losses, conflicts, renewals, executions, replays, speculation.\n")
+		b.WriteString("# HELP commsched_lease Distributed lease pool counters (latest lease.status event): acquisitions, steals, reclaims, losses, conflicts, renewals, executions, replays, speculation, and wait_ms, the slot time spent waiting on units held by siblings.\n")
 		b.WriteString("# TYPE commsched_lease gauge\n")
 		forSortedKeys(g.leaseGauges, func(field string, v float64) {
 			fmt.Fprintf(&b, "commsched_lease{field=%q} %s\n", field, formatFloat(v))

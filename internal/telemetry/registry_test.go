@@ -248,6 +248,7 @@ func TestRegistryLeaseAndRunstateGauges(t *testing.T) {
 		obs.F("stolen", int64(3)),
 		obs.F("reclaimed", int64(1)),
 		obs.F("spec_wins", int64(0)),
+		obs.F("wait_ms", 12.5),
 	}})
 
 	ls := g.Lease()
@@ -270,6 +271,7 @@ func TestRegistryLeaseAndRunstateGauges(t *testing.T) {
 		"commsched_lease{field=\"stolen\"} 3\n",
 		"commsched_lease{field=\"reclaimed\"} 1\n",
 		"commsched_lease{field=\"spec_wins\"} 0\n",
+		"commsched_lease{field=\"wait_ms\"} 12.5\n",
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("exposition missing %q", want)
