@@ -256,7 +256,7 @@ func (p *Pool) runLoop(parent context.Context, loop string, n int, fn func(ctx c
 					r.fail(err)
 				}
 			}()
-			idle := p.newWaiter(ctx, r, slot)
+			idle := p.newWaiter(ctx, r.loop, slot)
 			defer idle.end()
 			for {
 				if r.failed.Load() != nil || ctx.Err() != nil {
@@ -324,8 +324,8 @@ type waiter struct {
 	span    *obs.Span
 }
 
-func (p *Pool) newWaiter(ctx context.Context, r *loopRun, slot int) *waiter {
-	return &waiter{p: p, ctx: ctx, loop: r.loop, backoff: time.Millisecond,
+func (p *Pool) newWaiter(ctx context.Context, loop string, slot int) *waiter {
+	return &waiter{p: p, ctx: ctx, loop: loop, backoff: time.Millisecond,
 		rng: rand.New(rand.NewSource(int64(ownerHash(p.m.Owner())) + int64(slot)))}
 }
 
