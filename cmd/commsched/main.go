@@ -17,7 +17,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -31,18 +30,19 @@ import (
 )
 
 func main() {
+	var spec topology.Spec
+	flag.StringVar(&spec.Kind, "topo", "irregular", "topology kind: irregular, rings, ring, mesh, torus, hypercube, file")
+	flag.IntVar(&spec.Switches, "switches", 16, "switch count (irregular/ring)")
+	flag.IntVar(&spec.Degree, "degree", 3, "inter-switch degree (irregular)")
+	flag.IntVar(&spec.Rings, "rings", 4, "ring count (rings topology)")
+	flag.IntVar(&spec.RingSize, "ringsize", 6, "switches per ring (rings topology)")
+	flag.IntVar(&spec.Bridges, "bridges", 1, "links between consecutive rings")
+	flag.IntVar(&spec.Rows, "rows", 4, "rows (mesh/torus)")
+	flag.IntVar(&spec.Cols, "cols", 4, "columns (mesh/torus)")
+	flag.IntVar(&spec.Dim, "dim", 4, "dimension (hypercube)")
+	flag.Int64Var(&spec.Seed, "toposeed", 1, "topology generation seed")
 	var (
-		topo      = flag.String("topo", "irregular", "topology kind: irregular, rings, ring, mesh, torus, hypercube, file")
-		switches  = flag.Int("switches", 16, "switch count (irregular/ring)")
-		degree    = flag.Int("degree", 3, "inter-switch degree (irregular)")
-		rings     = flag.Int("rings", 4, "ring count (rings topology)")
-		ringSize  = flag.Int("ringsize", 6, "switches per ring (rings topology)")
-		bridges   = flag.Int("bridges", 1, "links between consecutive rings")
-		rows      = flag.Int("rows", 4, "rows (mesh/torus)")
-		cols      = flag.Int("cols", 4, "columns (mesh/torus)")
-		dim       = flag.Int("dim", 4, "dimension (hypercube)")
 		in        = flag.String("in", "", "input topology file (file topology)")
-		topoSeed  = flag.Int64("toposeed", 1, "topology generation seed")
 		clusters  = flag.Int("clusters", 4, "number of logical clusters")
 		weights   = flag.String("weights", "", "optional per-cluster traffic weights, e.g. \"50,1,1,1\" (weighted scheduling)")
 		seed      = flag.Int64("seed", 42, "search seed")
@@ -63,8 +63,7 @@ func main() {
 	// Ctrl-C / SIGTERM cancels the search between units so the deferred
 	// finish/Close paths still flush checkpoints and telemetry sinks.
 	ctx, stop := runctl.Signals(context.Background(), os.Stderr)
-	runErr := run(ctx, *topo, *switches, *degree, *rings, *ringSize, *bridges, *rows, *cols, *dim, *in,
-		*topoSeed, *clusters, *weights, *seed, *heuristic, *metric, *randoms, *dumpTable, *durable)
+	runErr := run(ctx, spec, *in, *clusters, *weights, *seed, *heuristic, *metric, *randoms, *dumpTable, *durable)
 	stop()
 	if err := svc.Close(); err != nil && runErr == nil {
 		runErr = err
@@ -75,16 +74,15 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, topo string, switches, degree, rings, ringSize, bridges, rows, cols, dim int, in string,
-	topoSeed int64, clusters int, weights string, seed int64, heuristic, metric string, randoms int, dumpTable bool,
-	durable runctl.Config) (retErr error) {
+func run(ctx context.Context, spec topology.Spec, in string, clusters int, weights string, seed int64,
+	heuristic, metric string, randoms int, dumpTable bool, durable runctl.Config) (retErr error) {
 
-	net, err := buildTopology(topo, switches, degree, rings, ringSize, bridges, rows, cols, dim, in, topoSeed)
+	net, err := buildTopology(spec, in)
 	if err != nil {
 		return err
 	}
 	man := experiments.NewManifest("commsched", experiments.Scale{})
-	man.Seeds = map[string]int64{"topology": topoSeed, "search": seed}
+	man.Seeds = map[string]int64{"topology": spec.Seed, "search": seed}
 	if err := man.AddTopology(net.Name(), net); err != nil {
 		return err
 	}
@@ -169,35 +167,21 @@ func run(ctx context.Context, topo string, switches, degree, rings, ringSize, br
 	return nil
 }
 
-func buildTopology(kind string, switches, degree, rings, ringSize, bridges, rows, cols, dim int,
-	in string, seed int64) (*topology.Network, error) {
-	cfg := topology.Config{}
-	switch kind {
-	case "irregular":
-		return topology.RandomIrregular(switches, degree, rand.New(rand.NewSource(seed)), cfg)
-	case "rings":
-		return topology.InterconnectedRings(rings, ringSize, bridges, cfg)
-	case "ring":
-		return topology.Ring(switches, cfg)
-	case "mesh":
-		return topology.Mesh2D(rows, cols, cfg)
-	case "torus":
-		return topology.Torus2D(rows, cols, cfg)
-	case "hypercube":
-		return topology.Hypercube(dim, cfg)
-	case "file":
-		if in == "" {
-			return nil, fmt.Errorf("file topology needs -in")
-		}
-		f, err := os.Open(in)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return topology.ParseText(f)
-	default:
-		return nil, fmt.Errorf("unknown topology %q", kind)
+// buildTopology reads the -in file for the file kind and runs spec's
+// generator for every other kind.
+func buildTopology(spec topology.Spec, in string) (*topology.Network, error) {
+	if spec.Kind != "file" {
+		return spec.Build()
 	}
+	if in == "" {
+		return nil, fmt.Errorf("file topology needs -in")
+	}
+	f, err := os.Open(in)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return topology.ParseText(f)
 }
 
 // parseWeights parses a comma-separated positive weight list.

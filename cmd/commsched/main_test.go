@@ -1,13 +1,14 @@
 package main
 
 import (
-	"commsched/internal/runctl"
 	"context"
-
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"commsched/internal/runctl"
+	"commsched/internal/topology"
 )
 
 // capture runs f with stdout redirected and returns what it printed.
@@ -42,7 +43,7 @@ func capture(t *testing.T, f func() error) (string, error) {
 
 func TestRunIrregularTabu(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run(context.Background(), "irregular", 12, 3, 0, 0, 0, 0, 0, 0, "", 1, 4, "", 42, "tabu", "resistance", 2, false, runctl.Config{})
+		return run(context.Background(), topology.Spec{Kind: "irregular", Switches: 12, Degree: 3, Seed: 1}, "", 4, "", 42, "tabu", "resistance", 2, false, runctl.Config{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +57,7 @@ func TestRunIrregularTabu(t *testing.T) {
 
 func TestRunRingsTopology(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run(context.Background(), "rings", 0, 0, 4, 6, 1, 0, 0, 0, "", 1, 4, "", 42, "greedy", "resistance", 0, false, runctl.Config{})
+		return run(context.Background(), topology.Spec{Kind: "rings", Rings: 4, RingSize: 6, Bridges: 1, Seed: 1}, "", 4, "", 42, "greedy", "resistance", 0, false, runctl.Config{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +69,7 @@ func TestRunRingsTopology(t *testing.T) {
 
 func TestRunHopMetricAndTableDump(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run(context.Background(), "ring", 6, 0, 0, 0, 0, 0, 0, 0, "", 1, 2, "", 42, "tabu", "hops", 0, true, runctl.Config{})
+		return run(context.Background(), topology.Spec{Kind: "ring", Switches: 6, Seed: 1}, "", 2, "", 42, "tabu", "hops", 0, true, runctl.Config{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestRunMeshTorusHypercube(t *testing.T) {
 	}
 	for _, c := range cases {
 		if _, err := capture(t, func() error {
-			return run(context.Background(), c.topo, 0, 0, 0, 0, 0, c.rows, c.cols, c.dim, "", 1, c.clusters, "", 1, "greedy", "resistance", 0, false, runctl.Config{})
+			return run(context.Background(), topology.Spec{Kind: c.topo, Rows: c.rows, Cols: c.cols, Dim: c.dim, Seed: 1}, "", c.clusters, "", 1, "greedy", "resistance", 0, false, runctl.Config{})
 		}); err != nil {
 			t.Fatalf("%s: %v", c.topo, err)
 		}
@@ -105,7 +106,7 @@ func TestRunFileTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, err := capture(t, func() error {
-		return run(context.Background(), "file", 0, 0, 0, 0, 0, 0, 0, 0, path, 1, 2, "", 1, "exhaustive", "resistance", 0, false, runctl.Config{})
+		return run(context.Background(), topology.Spec{Kind: "file", Seed: 1}, path, 2, "", 1, "exhaustive", "resistance", 0, false, runctl.Config{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,22 +119,22 @@ func TestRunFileTopology(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	cases := []func() error{
 		func() error {
-			return run(context.Background(), "unknown-topo", 8, 3, 0, 0, 0, 0, 0, 0, "", 1, 4, "", 1, "tabu", "resistance", 0, false, runctl.Config{})
+			return run(context.Background(), topology.Spec{Kind: "unknown-topo", Switches: 8, Degree: 3, Seed: 1}, "", 4, "", 1, "tabu", "resistance", 0, false, runctl.Config{})
 		},
 		func() error {
-			return run(context.Background(), "irregular", 12, 3, 0, 0, 0, 0, 0, 0, "", 1, 4, "", 1, "no-such-heuristic", "resistance", 0, false, runctl.Config{})
+			return run(context.Background(), topology.Spec{Kind: "irregular", Switches: 12, Degree: 3, Seed: 1}, "", 4, "", 1, "no-such-heuristic", "resistance", 0, false, runctl.Config{})
 		},
 		func() error {
-			return run(context.Background(), "irregular", 12, 3, 0, 0, 0, 0, 0, 0, "", 1, 4, "", 1, "tabu", "no-such-metric", 0, false, runctl.Config{})
+			return run(context.Background(), topology.Spec{Kind: "irregular", Switches: 12, Degree: 3, Seed: 1}, "", 4, "", 1, "tabu", "no-such-metric", 0, false, runctl.Config{})
 		},
 		func() error {
-			return run(context.Background(), "file", 0, 0, 0, 0, 0, 0, 0, 0, "", 1, 4, "", 1, "tabu", "resistance", 0, false, runctl.Config{})
+			return run(context.Background(), topology.Spec{Kind: "file", Seed: 1}, "", 4, "", 1, "tabu", "resistance", 0, false, runctl.Config{})
 		},
 		func() error {
-			return run(context.Background(), "file", 0, 0, 0, 0, 0, 0, 0, 0, "/does/not/exist", 1, 4, "", 1, "tabu", "resistance", 0, false, runctl.Config{})
+			return run(context.Background(), topology.Spec{Kind: "file", Seed: 1}, "/does/not/exist", 4, "", 1, "tabu", "resistance", 0, false, runctl.Config{})
 		},
 		func() error { // indivisible clusters
-			return run(context.Background(), "irregular", 10, 3, 0, 0, 0, 0, 0, 0, "", 1, 4, "", 1, "tabu", "resistance", 0, false, runctl.Config{})
+			return run(context.Background(), topology.Spec{Kind: "irregular", Switches: 10, Degree: 3, Seed: 1}, "", 4, "", 1, "tabu", "resistance", 0, false, runctl.Config{})
 		},
 	}
 	for i, f := range cases {
@@ -145,7 +146,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunWeightedScheduling(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run(context.Background(), "irregular", 12, 3, 0, 0, 0, 0, 0, 0, "", 1, 4, "50,1,1,1", 42, "tabu", "resistance", 0, false, runctl.Config{})
+		return run(context.Background(), topology.Spec{Kind: "irregular", Switches: 12, Degree: 3, Seed: 1}, "", 4, "50,1,1,1", 42, "tabu", "resistance", 0, false, runctl.Config{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,13 +158,13 @@ func TestRunWeightedScheduling(t *testing.T) {
 
 func TestRunWeightedErrors(t *testing.T) {
 	if _, err := capture(t, func() error {
-		return run(context.Background(), "irregular", 12, 3, 0, 0, 0, 0, 0, 0, "", 1, 4, "a,b", 42, "tabu", "resistance", 0, false, runctl.Config{})
+		return run(context.Background(), topology.Spec{Kind: "irregular", Switches: 12, Degree: 3, Seed: 1}, "", 4, "a,b", 42, "tabu", "resistance", 0, false, runctl.Config{})
 	}); err == nil {
 		t.Fatal("bad weight list accepted")
 	}
 	if _, err := capture(t, func() error {
 		// 12 switches cannot split into 5 weighted clusters.
-		return run(context.Background(), "irregular", 12, 3, 0, 0, 0, 0, 0, 0, "", 1, 4, "1,1,1,1,1", 42, "tabu", "resistance", 0, false, runctl.Config{})
+		return run(context.Background(), topology.Spec{Kind: "irregular", Switches: 12, Degree: 3, Seed: 1}, "", 4, "1,1,1,1,1", 42, "tabu", "resistance", 0, false, runctl.Config{})
 	}); err == nil {
 		t.Fatal("indivisible weighted split accepted")
 	}

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"commsched/internal/service"
+	"commsched/internal/topology"
 )
 
 func main() {
@@ -155,7 +156,7 @@ func specFor(i, tenants int, seed int64) service.JobSpec {
 	switch {
 	case i%10 < 6: // 60%: evaluate a fixed mapping on a small ring
 		spec.Kind = service.KindEvaluate
-		spec.Generate = &service.GenerateSpec{Kind: "ring", Switches: 8}
+		spec.Generate = &topology.Spec{Kind: "ring", Switches: 8}
 		spec.M = 4
 		// A random rotation of a balanced assignment: every cluster keeps
 		// two switches, so the mapping is always valid while the jobs
@@ -167,12 +168,12 @@ func specFor(i, tenants int, seed int64) service.JobSpec {
 		}
 	case i%10 < 9: // 30%: schedule a small irregular network
 		spec.Kind = service.KindSchedule
-		spec.Generate = &service.GenerateSpec{Kind: "irregular", Switches: 8, Degree: 3, Seed: 1 + int64(i%4)}
+		spec.Generate = &topology.Spec{Kind: "irregular", Switches: 8, Degree: 3, Seed: 1 + int64(i%4)}
 		spec.Clusters = 4
 		spec.Heuristic = "greedy"
 	default: // 10%: a short two-point sweep
 		spec.Kind = service.KindSweep
-		spec.Generate = &service.GenerateSpec{Kind: "ring", Switches: 8}
+		spec.Generate = &topology.Spec{Kind: "ring", Switches: 8}
 		spec.Clusters = 4
 		spec.Heuristic = "greedy"
 		spec.Rates = []float64{0.1, 0.2}

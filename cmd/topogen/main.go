@@ -23,62 +23,33 @@ import (
 )
 
 func main() {
+	var spec topology.Spec
+	flag.StringVar(&spec.Kind, "topo", "irregular", "topology kind: irregular, rings, ring, mesh, torus, hypercube")
+	flag.IntVar(&spec.Switches, "switches", 16, "switch count (irregular/ring)")
+	flag.IntVar(&spec.Degree, "degree", 3, "inter-switch degree (irregular)")
+	flag.IntVar(&spec.Rings, "rings", 4, "ring count (rings)")
+	flag.IntVar(&spec.RingSize, "ringsize", 6, "switches per ring (rings)")
+	flag.IntVar(&spec.Bridges, "bridges", 1, "links between consecutive rings")
+	flag.IntVar(&spec.Rows, "rows", 4, "rows (mesh/torus)")
+	flag.IntVar(&spec.Cols, "cols", 4, "columns (mesh/torus)")
+	flag.IntVar(&spec.Dim, "dim", 4, "dimension (hypercube)")
+	flag.Int64Var(&spec.Seed, "seed", 2000, "generation seed")
 	var (
-		topo     = flag.String("topo", "irregular", "topology kind: irregular, rings, ring, mesh, torus, hypercube")
-		switches = flag.Int("switches", 16, "switch count (irregular/ring)")
-		degree   = flag.Int("degree", 3, "inter-switch degree (irregular)")
-		rings    = flag.Int("rings", 4, "ring count (rings)")
-		ringSize = flag.Int("ringsize", 6, "switches per ring (rings)")
-		bridges  = flag.Int("bridges", 1, "links between consecutive rings")
-		rows     = flag.Int("rows", 4, "rows (mesh/torus)")
-		cols     = flag.Int("cols", 4, "columns (mesh/torus)")
-		dim      = flag.Int("dim", 4, "dimension (hypercube)")
-		seed     = flag.Int64("seed", 2000, "generation seed")
-		in       = flag.String("in", "", "analyze an existing topology file instead of generating")
-		out      = flag.String("out", "", "write the topology to this file ('-' = stdout)")
-		analyze  = flag.Bool("analyze", false, "print structural and distance-model properties")
+		in      = flag.String("in", "", "analyze an existing topology file instead of generating")
+		out     = flag.String("out", "", "write the topology to this file ('-' = stdout)")
+		analyze = flag.Bool("analyze", false, "print structural and distance-model properties")
 	)
 	flag.Parse()
-	if err := run(*topo, *switches, *degree, *rings, *ringSize, *bridges, *rows, *cols, *dim,
-		*seed, *in, *out, *analyze); err != nil {
+	if err := run(spec, *in, *out, *analyze); err != nil {
 		fmt.Fprintln(os.Stderr, "topogen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(topo string, switches, degree, rings, ringSize, bridges, rows, cols, dim int,
-	seed int64, in, out string, analyze bool) error {
-
-	var (
-		net *topology.Network
-		err error
-	)
-	if in != "" {
-		f, err2 := os.Open(in)
-		if err2 != nil {
-			return err2
-		}
-		defer f.Close()
-		net, err = topology.ParseText(f)
-	} else {
-		cfg := topology.Config{}
-		switch topo {
-		case "irregular":
-			net, err = topology.RandomIrregular(switches, degree, rand.New(rand.NewSource(seed)), cfg)
-		case "rings":
-			net, err = topology.InterconnectedRings(rings, ringSize, bridges, cfg)
-		case "ring":
-			net, err = topology.Ring(switches, cfg)
-		case "mesh":
-			net, err = topology.Mesh2D(rows, cols, cfg)
-		case "torus":
-			net, err = topology.Torus2D(rows, cols, cfg)
-		case "hypercube":
-			net, err = topology.Hypercube(dim, cfg)
-		default:
-			return fmt.Errorf("unknown topology %q", topo)
-		}
-	}
+// run builds the network (from the -in file when one is given, from
+// spec's generator otherwise), then writes and reports it.
+func run(spec topology.Spec, in, out string, analyze bool) error {
+	net, err := buildTopology(spec, in)
 	if err != nil {
 		return err
 	}
@@ -113,6 +84,18 @@ func run(topo string, switches, degree, rings, ringSize, bridges, rows, cols, di
 			net.Name(), net.Switches(), net.Hosts(), net.NumLinks(), net.Diameter())
 	}
 	return nil
+}
+
+func buildTopology(spec topology.Spec, in string) (*topology.Network, error) {
+	if in == "" {
+		return spec.Build()
+	}
+	f, err := os.Open(in)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return topology.ParseText(f)
 }
 
 func report(net *topology.Network) error {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"commsched/internal/topology"
 )
 
 func capture(t *testing.T, f func() error) (string, error) {
@@ -38,7 +40,7 @@ func capture(t *testing.T, f func() error) (string, error) {
 
 func TestGenerateAndAnalyze(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("irregular", 12, 3, 0, 0, 0, 0, 0, 0, 1, "", "", true)
+		return run(topology.Spec{Kind: "irregular", Switches: 12, Degree: 3, Seed: 1}, "", "", true)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,12 +56,12 @@ func TestGenerateToFileAndReload(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "net.txt")
 	if _, err := capture(t, func() error {
-		return run("rings", 0, 0, 4, 6, 1, 0, 0, 0, 1, "", path, false)
+		return run(topology.Spec{Kind: "rings", Rings: 4, RingSize: 6, Bridges: 1, Seed: 1}, "", path, false)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := capture(t, func() error {
-		return run("", 0, 0, 0, 0, 0, 0, 0, 0, 1, path, "", true)
+		return run(topology.Spec{}, path, "", true)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +73,7 @@ func TestGenerateToFileAndReload(t *testing.T) {
 
 func TestWriteToStdout(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("ring", 5, 0, 0, 0, 0, 0, 0, 0, 1, "", "-", false)
+		return run(topology.Spec{Kind: "ring", Switches: 5, Seed: 1}, "", "-", false)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +85,7 @@ func TestWriteToStdout(t *testing.T) {
 
 func TestSummaryWithoutFlags(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("mesh", 0, 0, 0, 0, 0, 3, 3, 0, 1, "", "", false)
+		return run(topology.Spec{Kind: "mesh", Rows: 3, Cols: 3, Seed: 1}, "", "", false)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,12 +97,12 @@ func TestSummaryWithoutFlags(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	if _, err := capture(t, func() error {
-		return run("bogus", 8, 3, 0, 0, 0, 0, 0, 0, 1, "", "", false)
+		return run(topology.Spec{Kind: "bogus", Switches: 8, Degree: 3, Seed: 1}, "", "", false)
 	}); err == nil {
 		t.Fatal("unknown topology accepted")
 	}
 	if _, err := capture(t, func() error {
-		return run("", 0, 0, 0, 0, 0, 0, 0, 0, 1, "/does/not/exist", "", true)
+		return run(topology.Spec{}, "/does/not/exist", "", true)
 	}); err == nil {
 		t.Fatal("missing input file accepted")
 	}

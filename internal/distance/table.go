@@ -317,19 +317,6 @@ func (t *Table) TriangleViolations(eps float64) int {
 	return count
 }
 
-// MaxDistance returns the largest entry.
-func (t *Table) MaxDistance() float64 {
-	max := 0.0
-	for i := 0; i < t.n; i++ {
-		for j := i + 1; j < t.n; j++ {
-			if t.d[i][j] > max {
-				max = t.d[i][j]
-			}
-		}
-	}
-	return max
-}
-
 // MarshalJSON encodes the table as {"n":N,"d":[[...]]}.
 func (t *Table) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {

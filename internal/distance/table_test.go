@@ -293,17 +293,6 @@ func TestEquivalentDistanceCanViolateTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestMaxDistance(t *testing.T) {
-	tab, _ := FromMatrix([][]float64{
-		{0, 1, 2},
-		{1, 0, 3},
-		{2, 3, 0},
-	})
-	if tab.MaxDistance() != 3 {
-		t.Fatalf("MaxDistance = %v, want 3", tab.MaxDistance())
-	}
-}
-
 func TestTableJSONRoundTrip(t *testing.T) {
 	net, err := topology.RandomIrregular(8, 3, rand.New(rand.NewSource(2)), topology.Config{})
 	if err != nil {

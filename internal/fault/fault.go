@@ -86,19 +86,6 @@ type Plan struct {
 	Events []Event
 }
 
-// Links returns the distinct links failed by permanent link events.
-func (p Plan) Links() []topology.Link {
-	seen := map[topology.Link]bool{}
-	var out []topology.Link
-	for _, e := range p.Events {
-		if (e.Kind == LinkDown || e.Kind == FlakyLink) && e.Permanent() && !seen[e.Link] {
-			seen[e.Link] = true
-			out = append(out, e.Link)
-		}
-	}
-	return out
-}
-
 // Degraded is the static post-failure view of a network: the surviving
 // switches, compacted into a fresh contiguous ID space so that routing,
 // distance tables, and searchers operate on a plain connected

@@ -171,18 +171,6 @@ func TestFlakyLinkWithRepairIsTransient(t *testing.T) {
 	}
 }
 
-func TestPlanLinks(t *testing.T) {
-	p := Plan{Events: []Event{
-		{Kind: LinkDown, Link: topology.Link{A: 0, B: 1}},
-		{Kind: LinkDown, Link: topology.Link{A: 0, B: 1}},                      // duplicate
-		{Kind: FlakyLink, Link: topology.Link{A: 1, B: 2}, At: 1, RepairAt: 2}, // heals
-		{Kind: SwitchDown, Switch: 3},
-	}}
-	if got := p.Links(); len(got) != 1 || got[0] != (topology.Link{A: 0, B: 1}) {
-		t.Fatalf("Links() = %v", got)
-	}
-}
-
 func TestRandomPlanDeterministicAndConnected(t *testing.T) {
 	net := ring(t, 8)
 	p1, err := RandomPlan(net, PlanSpec{LinkFailures: 1}, rand.New(rand.NewSource(7)))

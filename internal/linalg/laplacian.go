@@ -1,3 +1,12 @@
+// Package linalg computes effective resistances on small resistor
+// networks, the one linear-algebra result the distance model needs: it
+// builds the graph Laplacian of the edges, grounds one terminal, and
+// solves the reduced system by Cholesky factorization.
+//
+// The package is intentionally minimal and dependency-free (stdlib only).
+// It works on flat row-major float64 slices; sizes in this project are
+// tiny (tens of nodes), so asymptotics beyond O(n³) solves are irrelevant
+// and clarity wins.
 package linalg
 
 import (
@@ -12,21 +21,11 @@ type WeightedEdge struct {
 	Weight float64
 }
 
-// Laplacian builds the n×n graph Laplacian L = D − A for the given
-// undirected weighted edges. Parallel edges accumulate (their conductances
-// add, exactly like parallel resistors). Self loops are ignored: they do
-// not affect effective resistance. It panics on an edge endpoint outside
-// [0, n); EffectiveResistance reports that case as an error.
-func Laplacian(n int, edges []WeightedEdge) *Matrix {
-	l := NewMatrix(n, n)
-	if err := addLaplacian(l.Data, n, edges); err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// addLaplacian accumulates the Laplacian of edges into the n×n row-major
-// lap, in edge order. It checks each endpoint before using it: lap is
+// addLaplacian accumulates the graph Laplacian L = D − A of the
+// undirected weighted edges into the n×n row-major lap, in edge order.
+// Parallel edges accumulate (their conductances add, exactly like
+// parallel resistors). Self loops are ignored: they do not affect
+// effective resistance. It checks each endpoint before using it: lap is
 // flat, so an endpoint outside [0, n) could land on another node's cell.
 func addLaplacian(lap []float64, n int, edges []WeightedEdge) error {
 	for k, e := range edges {
@@ -57,10 +56,11 @@ var ErrDisconnected = errors.New("linalg: terminals are not connected")
 // potentials, and return V(s) − V(t) = V(s).
 //
 // The reduced ("grounded") Laplacian of a connected component containing t
-// is symmetric positive definite, so Cholesky is used; if the component
-// containing s does not contain t the system is singular and
-// ErrDisconnected is returned. An edge endpoint outside [0, n) is an
-// error.
+// is symmetric positive definite for positive conductances, so Cholesky
+// is used; if the component containing s does not contain t the system is
+// singular and ErrDisconnected is returned. A grounded Laplacian that is
+// not positive definite (a non-positive conductance can make it so)
+// returns ErrSingular. An edge endpoint outside [0, n) is an error.
 func EffectiveResistance(n int, edges []WeightedEdge, s, t int) (float64, error) {
 	var sv Solver
 	return sv.EffectiveResistance(n, edges, s, t)
@@ -131,13 +131,7 @@ func (sv *Solver) EffectiveResistance(n int, edges []WeightedEdge, s, t int) (fl
 
 	sv.chol = resize(sv.chol, m*m)
 	if err := cholesky(sv.red, sv.chol, m); err != nil {
-		// Fall back to pivoted Gaussian elimination for borderline
-		// conditioning; if that also fails the component is degenerate.
-		x, gerr := Solve(&Matrix{Rows: m, Cols: m, Data: sv.red}, sv.x)
-		if gerr != nil {
-			return 0, gerr
-		}
-		return x[ps], nil
+		return 0, err
 	}
 	sv.y = resize(sv.y, m)
 	if err := solveCholesky(sv.chol, sv.x, sv.y, sv.x, m); err != nil {

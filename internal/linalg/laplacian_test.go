@@ -2,11 +2,14 @@ package linalg
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func unitEdges(pairs [][2]int) []WeightedEdge {
 	es := make([]WeightedEdge, len(pairs))
@@ -16,37 +19,47 @@ func unitEdges(pairs [][2]int) []WeightedEdge {
 	return es
 }
 
+// laplacian returns the n×n row-major Laplacian of edges.
+func laplacian(t *testing.T, n int, edges []WeightedEdge) []float64 {
+	t.Helper()
+	l := make([]float64, n*n)
+	if err := addLaplacian(l, n, edges); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestLaplacianStructure(t *testing.T) {
 	// Triangle on 3 nodes.
-	l := Laplacian(3, unitEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}))
+	l := laplacian(t, 3, unitEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}))
 	for i := 0; i < 3; i++ {
-		if l.At(i, i) != 2 {
-			t.Fatalf("degree of node %d = %v, want 2", i, l.At(i, i))
+		if l[i*3+i] != 2 {
+			t.Fatalf("degree of node %d = %v, want 2", i, l[i*3+i])
 		}
 		rowSum := 0.0
 		for j := 0; j < 3; j++ {
-			rowSum += l.At(i, j)
+			rowSum += l[i*3+j]
+			if l[i*3+j] != l[j*3+i] {
+				t.Fatalf("Laplacian not symmetric at (%d,%d)", i, j)
+			}
 		}
 		if rowSum != 0 {
 			t.Fatalf("row %d sums to %v, want 0", i, rowSum)
 		}
 	}
-	if !l.Symmetric(0) {
-		t.Fatal("Laplacian not symmetric")
-	}
 }
 
 func TestLaplacianIgnoresSelfLoops(t *testing.T) {
-	l := Laplacian(2, []WeightedEdge{{U: 0, V: 0, Weight: 5}, {U: 0, V: 1, Weight: 1}})
-	if l.At(0, 0) != 1 {
-		t.Fatalf("self loop affected Laplacian: L[0][0] = %v, want 1", l.At(0, 0))
+	l := laplacian(t, 2, []WeightedEdge{{U: 0, V: 0, Weight: 5}, {U: 0, V: 1, Weight: 1}})
+	if l[0] != 1 {
+		t.Fatalf("self loop affected Laplacian: L[0][0] = %v, want 1", l[0])
 	}
 }
 
 func TestLaplacianParallelEdgesAccumulate(t *testing.T) {
-	l := Laplacian(2, unitEdges([][2]int{{0, 1}, {0, 1}}))
-	if l.At(0, 1) != -2 {
-		t.Fatalf("parallel edges: L[0][1] = %v, want -2", l.At(0, 1))
+	l := laplacian(t, 2, unitEdges([][2]int{{0, 1}, {0, 1}}))
+	if l[1] != -2 {
+		t.Fatalf("parallel edges: L[0][1] = %v, want -2", l[1])
 	}
 }
 
@@ -129,6 +142,16 @@ func TestEffectiveResistanceDisconnected(t *testing.T) {
 	_, err := EffectiveResistance(4, unitEdges([][2]int{{0, 1}, {2, 3}}), 0, 3)
 	if !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("err = %v, want ErrDisconnected", err)
+	}
+}
+
+// A grounded Laplacian that is not positive definite has no Cholesky
+// factor, and the solve reports ErrSingular rather than a resistance:
+// with conductance −1 on edge 0–1 the grounded system is [−1].
+func TestEffectiveResistanceNotPositiveDefinite(t *testing.T) {
+	r, err := EffectiveResistance(2, []WeightedEdge{{U: 0, V: 1, Weight: -1}}, 0, 1)
+	if !errors.Is(err, ErrSingular) {
+		t.Fatalf("R = %v, err = %v, want ErrSingular", r, err)
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package obs is the repo's zero-dependency observability layer: counters,
-// gauges, fixed-bucket histograms, span-style timers, and point events,
-// all flowing through one pluggable Sink.
+// Package obs is the repo's zero-dependency observability layer: point
+// events, span-style timers with trace context, progress records, and
+// fixed-bucket histograms, all flowing through one pluggable Sink.
 //
 // The paper's claims are quantitative (Cc as a bandwidth proxy, Tabu
 // convergence within ~20 iterations, saturation-point shifts in the
@@ -12,8 +12,8 @@
 // Cost model: the default state has no sink installed and every emission
 // helper returns immediately after one atomic pointer load; hot loops
 // additionally guard with Enabled() so that field slices are never built.
-// Installing a sink (SetSink, or CLISetup from a command's -metrics flag)
-// turns the stream on process-wide.
+// Installing a sink (SetSink, or telemetry.Start from a command's
+// -metrics, -serve or -trace flag) turns the stream on process-wide.
 package obs
 
 import (
@@ -175,31 +175,3 @@ func (s *Span) End(fields ...Field) {
 		Fields: append(s.fields, fields...),
 	})
 }
-
-// Counter is a cumulative atomic counter for concurrent accumulation
-// (e.g. pair rebuilds across distance workers). Flush it into the stream
-// with EmitValue.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// EmitValue emits the counter as an event with a "value" field.
-func (c *Counter) EmitValue(name string, fields ...Field) {
-	if !Enabled() {
-		return
-	}
-	Event(name, append(fields, F("value", c.v.Load()))...)
-}
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the current level.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Load returns the current level.
-func (g *Gauge) Load() int64 { return g.v.Load() }

@@ -38,50 +38,3 @@ func WriteHeapProfile(path string) error {
 	}
 	return nil
 }
-
-// CLISetup wires the standard observability flags of the repo's commands:
-// metricsPath installs a JSONL sink (empty = observability off) and
-// cpuProfile starts a CPU profile (empty = none). The returned cleanup
-// stops the profile, flushes and uninstalls the sink, and writes
-// memProfile when non-empty; commands defer it around their run.
-func CLISetup(metricsPath, cpuProfile, memProfile string) (cleanup func() error, err error) {
-	var (
-		sink    *JSONL
-		stopCPU func() error
-	)
-	if metricsPath != "" {
-		sink, err = OpenJSONL(metricsPath)
-		if err != nil {
-			return nil, err
-		}
-		SetSink(sink)
-	}
-	if cpuProfile != "" {
-		stopCPU, err = StartCPUProfile(cpuProfile)
-		if err != nil {
-			if sink != nil {
-				SetSink(nil)
-				sink.Close()
-			}
-			return nil, err
-		}
-	}
-	return func() error {
-		var first error
-		if stopCPU != nil {
-			first = stopCPU()
-		}
-		if memProfile != "" {
-			if err := WriteHeapProfile(memProfile); err != nil && first == nil {
-				first = err
-			}
-		}
-		if sink != nil {
-			SetSink(nil)
-			if err := sink.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}, nil
-}

@@ -200,14 +200,6 @@ func (j *JSONL) Emit(r Record) {
 	}
 }
 
-// Err returns the first encoding or write error seen so far without
-// flushing — a cheap mid-run health check for long-running services.
-func (j *JSONL) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // Flush drains the buffer and reports the first write error.
 func (j *JSONL) Flush() error {
 	j.mu.Lock()

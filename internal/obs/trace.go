@@ -166,7 +166,7 @@ func ParseTraceparent(s string) (SpanContext, error) {
 
 // idState is the splitmix64 state behind NewTraceID/NewSpanID. It starts
 // from a process-unique value so concurrent daemons do not collide, and
-// SeedIDs pins it for reproducible traces (tests, seeded experiment runs).
+// SeedIDs pins it for reproducible IDs in tests.
 var idState atomic.Uint64
 
 func init() {
@@ -174,8 +174,10 @@ func init() {
 }
 
 // SeedIDs makes ID generation deterministic: after SeedIDs(s), the k-th
-// generated 64-bit word is a pure function of (s, k). Commands seed it
-// from their -seed flag so a rerun reproduces its trace IDs.
+// generated 64-bit word is a pure function of (s, k). Tests call it to
+// pin IDs; no command does. A resumable run instead derives its root
+// trace from its run identity with TraceIDFromBytes, so a rerun shares
+// the interrupted run's trace.
 func SeedIDs(seed int64) { idState.Store(uint64(seed)) }
 
 // nextIDWord advances the shared splitmix64 stream by one word.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,18 +189,22 @@ func unitSeed(policySeed int64, name string, i int) int64 {
 	return int64(h)
 }
 
-// sleepBackoff waits base * 2^attempt scaled by the unit RNG's next
-// jitter draw in [0.5, 1.5), returning early (with the ctx error) when
-// the run is cancelled.
-func sleepBackoff(ctx context.Context, base time.Duration, attempt int, rng *rand.Rand) error {
+// backoffDelay is the wait before retry attempt+1: base * 2^attempt,
+// clamped to 30 s (an overflowing shift clamps too), scaled by the unit
+// RNG's next jitter draw in [0.5, 1.5).
+func backoffDelay(base time.Duration, attempt int, rng *rand.Rand) time.Duration {
 	d := base << uint(attempt)
 	const maxBackoff = 30 * time.Second
 	if d <= 0 || d > maxBackoff {
 		d = maxBackoff
 	}
-	jitter := 0.5 + rng.Float64()
-	d = time.Duration(float64(d) * jitter)
-	t := time.NewTimer(d)
+	return time.Duration(float64(d) * (0.5 + rng.Float64()))
+}
+
+// sleepBackoff waits backoffDelay, returning early (with the ctx error)
+// when the run is cancelled.
+func sleepBackoff(ctx context.Context, base time.Duration, attempt int, rng *rand.Rand) error {
+	t := time.NewTimer(backoffDelay(base, attempt, rng))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
@@ -222,13 +225,8 @@ func (p Policy) BackoffSchedule(name string, i, attempts int) []time.Duration {
 	}
 	rng := rand.New(rand.NewSource(unitSeed(p.Seed, name, i)))
 	out := make([]time.Duration, attempts)
-	const maxBackoff = 30 * time.Second
 	for k := range out {
-		d := p.Backoff << uint(k)
-		if d <= 0 || d > maxBackoff {
-			d = maxBackoff
-		}
-		out[k] = time.Duration(float64(d) * (0.5 + rng.Float64()))
+		out[k] = backoffDelay(p.Backoff, k, rng)
 	}
 	return out
 }
@@ -302,13 +300,4 @@ func ForEachPartial(ctx context.Context, name string, n int, fn func(ctx context
 		return failed, err
 	}
 	return failed, nil
-}
-
-// FormatUnitErrors renders salvaged-unit errors for a warning line.
-func FormatUnitErrors(errs []UnitError) string {
-	parts := make([]string, 0, len(errs))
-	for _, e := range errs {
-		parts = append(parts, e.Error())
-	}
-	return strings.Join(parts, "; ")
 }

@@ -55,62 +55,6 @@ func (g *DepGraph) Channels() []Channel {
 	return out
 }
 
-// Dependencies returns the dependency count (edges, with duplicates
-// removed).
-func (g *DepGraph) Dependencies() int {
-	n := 0
-	for i := range g.adj {
-		seen := map[int]bool{}
-		for _, j := range g.adj[i] {
-			if !seen[j] {
-				seen[j] = true
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// HasCycle reports whether the dependency graph contains a directed cycle
-// (iterative three-color DFS).
-func (g *DepGraph) HasCycle() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, len(g.channels))
-	type frame struct {
-		node int
-		next int
-	}
-	for start := range g.channels {
-		if color[start] != white {
-			continue
-		}
-		stack := []frame{{node: start}}
-		color[start] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(g.adj[f.node]) {
-				child := g.adj[f.node][f.next]
-				f.next++
-				switch color[child] {
-				case gray:
-					return true
-				case white:
-					color[child] = gray
-					stack = append(stack, frame{node: child})
-				}
-				continue
-			}
-			color[f.node] = black
-			stack = stack[:len(stack)-1]
-		}
-	}
-	return false
-}
-
 // Cycle returns one directed cycle as a channel sequence (first == last),
 // or nil when the graph is acyclic. Used to exhibit the deadlock a broken
 // routing function would allow.

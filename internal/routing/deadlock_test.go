@@ -38,13 +38,14 @@ func TestUpDownDependencyGraphAcyclic(t *testing.T) {
 			t.Fatalf("%s: %v", net.Name(), err)
 		}
 		g := ud.ChannelDependencyGraph()
-		if g.HasCycle() {
-			t.Fatalf("%s: up*/down* dependency graph has a cycle: %v", net.Name(), g.Cycle())
+		if cycle := g.Cycle(); cycle != nil {
+			t.Fatalf("%s: up*/down* dependency graph has a cycle: %v", net.Name(), cycle)
 		}
-		if g.Cycle() != nil {
-			t.Fatalf("%s: Cycle() disagrees with HasCycle()", net.Name())
+		deps := 0
+		for _, out := range g.adj {
+			deps += len(out)
 		}
-		if g.Dependencies() == 0 {
+		if deps == 0 {
 			t.Fatalf("%s: empty dependency graph (construction bug)", net.Name())
 		}
 	}
@@ -58,11 +59,10 @@ func TestShortestPathDependencyGraphCyclicOnRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := NewShortestPath(net)
-	g := sp.ChannelDependencyGraph()
-	if !g.HasCycle() {
+	cycle := sp.ChannelDependencyGraph().Cycle()
+	if cycle == nil {
 		t.Fatal("minimal routing on a ring reported deadlock-free — dependency construction wrong")
 	}
-	cycle := g.Cycle()
 	if len(cycle) < 3 {
 		t.Fatalf("degenerate cycle: %v", cycle)
 	}
@@ -83,7 +83,7 @@ func TestShortestPathDependencyGraphAcyclicOnTree(t *testing.T) {
 		{A: 0, B: 1}, {A: 0, B: 2}, {A: 1, B: 3}, {A: 1, B: 4}, {A: 2, B: 5},
 	})
 	sp := NewShortestPath(net)
-	if sp.ChannelDependencyGraph().HasCycle() {
+	if sp.ChannelDependencyGraph().Cycle() != nil {
 		t.Fatal("tree routing reported a dependency cycle")
 	}
 }

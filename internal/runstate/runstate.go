@@ -286,13 +286,6 @@ func (s *Store) snapshotPath() string { return filepath.Join(s.dir, "snapshot.js
 // Dir returns the checkpoint directory path.
 func (s *Store) Dir() string { return s.dir }
 
-// Worker returns the worker ID ("" in solo mode).
-func (s *Store) Worker() string { return s.workerID }
-
-// Shared reports whether the store is in distributed (shared-directory)
-// mode.
-func (s *Store) Shared() bool { return s.shared }
-
 // sanitizeWorker keeps worker-derived file names flat and portable.
 func sanitizeWorker(id string) string {
 	var b strings.Builder

@@ -270,7 +270,7 @@ func TestAPIEvaluateBodyPinned(t *testing.T) {
 	for s := range assign {
 		assign[s] = s / 6
 	}
-	spec := JobSpec{Kind: KindEvaluate, Generate: &GenerateSpec{Kind: "rings", Rings: 4, RingSize: 6, Bridges: 1}, Assign: assign, M: 4}
+	spec := JobSpec{Kind: KindEvaluate, Generate: &topology.Spec{Kind: "rings", Rings: 4, RingSize: 6, Bridges: 1}, Assign: assign, M: 4}
 	const want = "{\n  \"fg\": 0.22645402518204838,\n  \"dg\": 1.2148738818938754,\n  \"cc\": 5.364770535287362\n}\n"
 	for _, call := range []string{"miss", "hit"} {
 		resp := postSpec(t, ts, "/evaluate", spec)

@@ -25,7 +25,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"commsched/internal/topology"
@@ -65,27 +64,6 @@ const (
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool { return s == StateDone || s == StateFailed }
 
-// GenerateSpec asks the service to instantiate one of the module's
-// topology generators instead of shipping an explicit link list.
-type GenerateSpec struct {
-	// Kind is the generator: irregular, rings, ring, mesh, torus, or
-	// hypercube.
-	Kind string `json:"kind"`
-	// Switches / Degree parameterize irregular and ring.
-	Switches int `json:"switches,omitempty"`
-	Degree   int `json:"degree,omitempty"`
-	// Rings / RingSize / Bridges parameterize rings.
-	Rings    int `json:"rings,omitempty"`
-	RingSize int `json:"ring_size,omitempty"`
-	Bridges  int `json:"bridges,omitempty"`
-	// Rows / Cols parameterize mesh and torus; Dim the hypercube.
-	Rows int `json:"rows,omitempty"`
-	Cols int `json:"cols,omitempty"`
-	Dim  int `json:"dim,omitempty"`
-	// Seed drives the irregular generator.
-	Seed int64 `json:"seed,omitempty"`
-}
-
 // JobSpec is the client-supplied description of one job. Everything a
 // result depends on lives here, so equal specs produce byte-identical
 // results — the contract the durable resume path is tested against.
@@ -98,8 +76,9 @@ type JobSpec struct {
 	// Network is an explicit topology (the JSON form emitted by
 	// topogen/topology.MarshalJSON); mutually exclusive with Generate.
 	Network json.RawMessage `json:"network,omitempty"`
-	// Generate instantiates a named generator instead.
-	Generate *GenerateSpec `json:"generate,omitempty"`
+	// Generate instantiates one of the topology package's generators
+	// instead of shipping an explicit link list.
+	Generate *topology.Spec `json:"generate,omitempty"`
 	// Clusters is the number of equal-size logical clusters
 	// (schedule/sweep).
 	Clusters int `json:"clusters,omitempty"`
@@ -165,7 +144,7 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("decoding network: %w", err)
 		}
 	}
-	var g GenerateSpec
+	var g topology.Spec
 	if s.Generate != nil {
 		g = *s.Generate
 	}
@@ -243,24 +222,7 @@ func (s *JobSpec) ResolveNetwork() (*topology.Network, error) {
 	if s.Network != nil {
 		return topology.UnmarshalNetworkJSON(s.Network)
 	}
-	g := s.Generate
-	cfg := topology.Config{}
-	switch g.Kind {
-	case "irregular":
-		return topology.RandomIrregular(g.Switches, g.Degree, rand.New(rand.NewSource(g.Seed)), cfg)
-	case "rings":
-		return topology.InterconnectedRings(g.Rings, g.RingSize, g.Bridges, cfg)
-	case "ring":
-		return topology.Ring(g.Switches, cfg)
-	case "mesh":
-		return topology.Mesh2D(g.Rows, g.Cols, cfg)
-	case "torus":
-		return topology.Torus2D(g.Rows, g.Cols, cfg)
-	case "hypercube":
-		return topology.Hypercube(g.Dim, cfg)
-	default:
-		return nil, fmt.Errorf("unknown generator kind %q", g.Kind)
-	}
+	return s.Generate.Build()
 }
 
 // TopologySHA is the SHA-256 of the resolved network's canonical JSON —

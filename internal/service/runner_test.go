@@ -12,12 +12,13 @@ import (
 
 	"commsched/internal/par"
 	"commsched/internal/runstate"
+	"commsched/internal/topology"
 )
 
 func specSweep() JobSpec {
 	return JobSpec{
 		Kind:          KindSweep,
-		Generate:      &GenerateSpec{Kind: "ring", Switches: 8},
+		Generate:      &topology.Spec{Kind: "ring", Switches: 8},
 		Assign:        []int{0, 0, 1, 1, 2, 2, 3, 3},
 		M:             4,
 		Rates:         []float64{0.05, 0.1, 0.15},
@@ -208,7 +209,7 @@ func TestCoreRunnerSweepSalvagesUnderBudget(t *testing.T) {
 func TestCoreRunnerRefusesExhaustiveOnLargeNetworks(t *testing.T) {
 	spec := JobSpec{
 		Kind:      KindSchedule,
-		Generate:  &GenerateSpec{Kind: "ring", Switches: 16},
+		Generate:  &topology.Spec{Kind: "ring", Switches: 16},
 		Clusters:  4,
 		Heuristic: "exhaustive",
 	}
@@ -222,7 +223,7 @@ func TestCoreRunnerRefusesExhaustiveOnLargeNetworks(t *testing.T) {
 func TestCoreRunnerScheduleDeterministic(t *testing.T) {
 	spec := JobSpec{
 		Kind:      KindSchedule,
-		Generate:  &GenerateSpec{Kind: "irregular", Switches: 8, Degree: 3},
+		Generate:  &topology.Spec{Kind: "irregular", Switches: 8, Degree: 3},
 		Clusters:  4,
 		Heuristic: "greedy",
 		Seed:      7,

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"commsched/internal/runstate"
+	"commsched/internal/topology"
 )
 
 func specEval() JobSpec {
 	return JobSpec{
 		Kind:     KindEvaluate,
-		Generate: &GenerateSpec{Kind: "ring", Switches: 4},
+		Generate: &topology.Spec{Kind: "ring", Switches: 4},
 		Assign:   []int{0, 1, 0, 1},
 		M:        2,
 	}

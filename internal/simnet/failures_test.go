@@ -162,10 +162,6 @@ func TestSweepCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	_, _, err = FindSaturation(ctx, r.net, r.rt, r.pattern, failureConfig(), 0.5, 0.1)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("FindSaturation err = %v, want context.Canceled", err)
-	}
 }
 
 func TestLoseMessageMultiBufferWorm(t *testing.T) {

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"errors"
 	"testing"
 
 	"commsched/internal/routing"
@@ -100,78 +99,6 @@ func TestDeterministicRoutingLowersThroughput(t *testing.T) {
 	}
 	if deterministic <= 0 {
 		t.Fatal("deterministic routing delivered nothing")
-	}
-}
-
-func TestFindSaturation(t *testing.T) {
-	r := newRig(t, 12, 4, 3, 1, true)
-	cfg := Config{WarmupCycles: 300, MeasureCycles: 1500, Seed: 37}
-	rate, m, err := FindSaturation(nil, r.net, r.rt, r.pattern, cfg, 0.8, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate <= 0 || rate >= 0.8 {
-		t.Fatalf("saturation rate %v out of expected interior range", rate)
-	}
-	if m.Saturated() {
-		t.Fatal("returned metrics are from a saturated run")
-	}
-	// Just above the bracketing rate the network must saturate.
-	c := cfg
-	c.InjectionRate = rate + 0.1
-	sim, err := New(r.net, r.rt, r.pattern, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if above := sim.Run(); !above.Saturated() {
-		t.Fatalf("rate %v above the bracket did not saturate", c.InjectionRate)
-	}
-}
-
-func TestFindSaturationNeverSaturates(t *testing.T) {
-	// With a tiny probe range the network never saturates: the max rate is
-	// returned as-is.
-	r := newRig(t, 12, 4, 3, 1, false)
-	cfg := Config{WarmupCycles: 200, MeasureCycles: 800, Seed: 39}
-	rate, m, err := FindSaturation(nil, r.net, r.rt, r.pattern, cfg, 0.02, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate != 0.02 || m.Saturated() {
-		t.Fatalf("rate %v saturated=%v, want 0.02/false", rate, m.Saturated())
-	}
-}
-
-func TestFindSaturationAlwaysSaturated(t *testing.T) {
-	// A tolerance as wide as the probe range skips the bisection loop, so
-	// the single (saturating) probe at maxRate leaves no non-saturated
-	// point: the old code returned (0, Metrics{}, nil), silently handing
-	// the caller a zero-value measurement. Now the last saturated probe's
-	// metrics come back with a sentinel error.
-	r := newRig(t, 12, 4, 3, 1, true)
-	cfg := Config{WarmupCycles: 300, MeasureCycles: 1500, Seed: 37}
-	rate, m, err := FindSaturation(nil, r.net, r.rt, r.pattern, cfg, 0.9, 0.85)
-	if !errors.Is(err, ErrAlwaysSaturated) {
-		t.Fatalf("err = %v, want ErrAlwaysSaturated", err)
-	}
-	if rate != 0 {
-		t.Fatalf("rate = %v, want 0", rate)
-	}
-	if !m.Saturated() {
-		t.Fatal("returned metrics must be the saturated probe's, not a zero value")
-	}
-	if m.OfferedTraffic == 0 || m.GeneratedMessages == 0 {
-		t.Fatalf("metrics look zero-valued: %+v", m)
-	}
-}
-
-func TestFindSaturationValidation(t *testing.T) {
-	r := newRig(t, 8, 4, 1, 1, false)
-	if _, _, err := FindSaturation(nil, r.net, r.rt, r.pattern, Config{MeasureCycles: 100}, 0, 0.1); err == nil {
-		t.Fatal("zero maxRate accepted")
-	}
-	if _, _, err := FindSaturation(nil, r.net, r.rt, r.pattern, Config{MeasureCycles: 100}, 1.5, 0.1); err == nil {
-		t.Fatal("maxRate above 1 accepted")
 	}
 }
 

@@ -305,7 +305,7 @@ func TestSweepHelpers(t *testing.T) {
 	if points[0].Index != 1 || points[1].Index != 2 {
 		t.Fatal("sweep indices wrong")
 	}
-	if sat := SaturationPoint(points); sat != 1 {
-		t.Fatalf("SaturationPoint = %d, want 1 (0.6 flits/cycle/host must saturate)", sat)
+	if points[0].Metrics.Saturated() || !points[1].Metrics.Saturated() {
+		t.Fatal("want only the 0.6 flits/cycle/host point saturated")
 	}
 }

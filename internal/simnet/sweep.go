@@ -2,9 +2,7 @@ package simnet
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"commsched/internal/obs"
@@ -137,113 +135,4 @@ func Throughput(points []SweepPoint) float64 {
 		}
 	}
 	return max
-}
-
-// SaturationPoint returns the first sweep point whose run saturated, or
-// -1 when none did.
-func SaturationPoint(points []SweepPoint) int {
-	for i, p := range points {
-		if p.Metrics.Saturated() {
-			return i
-		}
-	}
-	return -1
-}
-
-// ErrAlwaysSaturated reports that every FindSaturation probe down to the
-// bisection tolerance saturated: the network cannot sustain even the
-// lowest rate probed, so no non-saturated operating point was found.
-var ErrAlwaysSaturated = errors.New("simnet: network saturated at every probed rate")
-
-// FindSaturation locates the saturation injection rate by bisection in
-// (0, maxRate]: the largest per-host rate at which the network still
-// accepts (within the Saturated tolerance) everything offered. It returns
-// the bracketing rate and the metrics of the last non-saturated run.
-// When every probe down to the tolerance saturates, it returns rate 0,
-// the metrics of the lowest-rate (still saturated) probe — so the caller
-// can inspect Saturated() and the loss figures — and an error wrapping
-// ErrAlwaysSaturated.
-// Each probe is one full simulation, so tol trades precision for time; a
-// nil ctx means Background and cancellation aborts between (and inside)
-// probes.
-func FindSaturation(ctx context.Context, net *topology.Network, rt *routing.UpDown, pattern traffic.Pattern, cfg Config, maxRate, tol float64) (float64, Metrics, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if maxRate <= 0 || maxRate > 1 {
-		return 0, Metrics{}, fmt.Errorf("simnet: maxRate %v outside (0,1]", maxRate)
-	}
-	if tol <= 0 {
-		tol = maxRate / 64
-	}
-	// Bisection halves (hi-lo) every probe, so the probe budget is known
-	// up front — which makes the search a progress-trackable task.
-	totalProbes := int64(1 + math.Ceil(math.Log2(maxRate/tol)))
-	scope := ""
-	if runstate.Enabled() {
-		scope = runstate.ScopeFrom(ctx)
-	}
-	var probes int64
-	probe := func(lo, hi, rate float64) (Metrics, error) {
-		c := cfg
-		c.InjectionRate = rate
-		key := ""
-		if scope != "" {
-			// Bisection is deterministic, so a resumed search probes the
-			// exact same rate sequence and replays from the store.
-			key = fmt.Sprintf("sat/%s/%s", scope, runstate.KeyHash(c))
-			var m Metrics
-			if runstate.Lookup(key, &m) {
-				return m, nil
-			}
-		}
-		sim, err := New(net, rt, pattern, c)
-		if err != nil {
-			return Metrics{}, err
-		}
-		m, err := sim.RunContext(ctx)
-		if err == nil && key != "" {
-			runstate.RecordCtx(ctx, key, m)
-		}
-		if err == nil && obs.Enabled() {
-			probes++
-			obs.Event("simnet.saturation_probe",
-				obs.F("rate", rate),
-				obs.F("lo", lo),
-				obs.F("hi", hi),
-				obs.F("accepted_traffic", m.AcceptedTraffic),
-				obs.F("saturated", m.Saturated()))
-			obs.Progress("simnet.saturation", probes, totalProbes)
-		}
-		return m, err
-	}
-	lo, hi := 0.0, maxRate
-	var best Metrics
-	m, err := probe(lo, hi, maxRate)
-	if err != nil {
-		return 0, Metrics{}, err
-	}
-	if !m.Saturated() {
-		return maxRate, m, nil // never saturates within the probe range
-	}
-	lastSaturated, found := m, false
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		m, err := probe(lo, hi, mid)
-		if err != nil {
-			return 0, Metrics{}, err
-		}
-		if m.Saturated() {
-			hi = mid
-			lastSaturated = m
-		} else {
-			lo, best, found = mid, m, true
-		}
-	}
-	if !found {
-		// lo never advanced: even the lowest probe saturated. Surface the
-		// lowest-rate probe's metrics instead of a zero value.
-		return 0, lastSaturated, fmt.Errorf("simnet: no non-saturated rate above tolerance %v: %w", tol, ErrAlwaysSaturated)
-	}
-	return lo, best, nil
 }

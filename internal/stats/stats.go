@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit the paper's
-// evaluation needs: means, standard deviations, and the Pearson
-// correlation coefficient behind Figure 6 (correlation of the clustering
-// coefficient with network performance), plus simple text-table
-// formatting for the experiment reports.
+// evaluation needs: the Pearson correlation coefficient behind Figure 6
+// (correlation of the clustering coefficient with network performance)
+// and the mean it is built on, plus simple text-table formatting for the
+// experiment reports.
 package stats
 
 import (
@@ -22,24 +22,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance of xs (0 for fewer than two
-// samples).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Pearson returns the Pearson correlation coefficient of the paired
 // samples, in [-1, 1]. It returns an error when the lengths differ, there
@@ -66,23 +48,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// MinMax returns the smallest and largest values (0,0 for empty input).
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // Table renders rows of cells as a fixed-width text table with a header —
 // the output format of the benchmark harness and cmd/paperfigs.
 type Table struct {
@@ -98,11 +63,6 @@ func NewTable(header ...string) *Table {
 // AddRow appends a row; short rows are padded with empty cells and long
 // rows extend the column count.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-// AddRowf appends a row built from formatted values.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.AddRow(strings.Fields(fmt.Sprintf(format, args...))...)
-}
 
 // String renders the table.
 func (t *Table) String() string {

@@ -19,19 +19,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	if Variance([]float64{5}) != 0 {
-		t.Fatal("variance of single sample must be 0")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if !almostEq(Variance(xs), 4, 1e-12) {
-		t.Fatalf("Variance = %v, want 4", Variance(xs))
-	}
-	if !almostEq(StdDev(xs), 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", StdDev(xs))
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{10, 20, 30, 40}
@@ -79,17 +66,6 @@ func TestPearsonErrors(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v,%v, want -1,7", min, max)
-	}
-	min, max = MinMax(nil)
-	if min != 0 || max != 0 {
-		t.Fatal("MinMax(nil) != 0,0")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "value")
 	tb.AddRow("alpha", "1")
@@ -107,14 +83,6 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(lines[3], "extra") {
 		t.Fatalf("extra cell missing: %q", lines[3])
-	}
-}
-
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("a", "b")
-	tb.AddRowf("%d %.2f", 3, 1.5)
-	if !strings.Contains(tb.String(), "1.50") {
-		t.Fatal("AddRowf formatting lost")
 	}
 }
 

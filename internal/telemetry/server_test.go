@@ -218,8 +218,10 @@ func TestServiceLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := dir + "/trace.json"
 	jsonlPath := dir + "/trace.jsonl"
+	cpuPath, memPath := dir+"/cpu.pprof", dir+"/heap.pprof"
 	var banner strings.Builder
-	svc, err := Start(Options{Serve: "127.0.0.1:0", Trace: tracePath, Metrics: jsonlPath, Banner: &banner})
+	svc, err := Start(Options{Serve: "127.0.0.1:0", Trace: tracePath, Metrics: jsonlPath,
+		CPUProfile: cpuPath, MemProfile: memPath, Banner: &banner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,6 +265,11 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(string(lines), `"name":"smoke.event"`) {
 		t.Errorf("JSONL trace missing the event:\n%s", lines)
+	}
+	for _, path := range []string{cpuPath, memPath} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty: %v", path, err)
+		}
 	}
 }
 

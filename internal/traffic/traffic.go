@@ -4,9 +4,9 @@
 // pattern — the paper's pattern is uniform over the host's own logical
 // cluster (100 % intra-cluster traffic).
 //
-// Additional patterns (global uniform, hotspot, and an intra/inter mix)
-// support the future-work extensions the paper lists (traffic that is not
-// fully intra-cluster).
+// Additional patterns (global uniform and an intra/inter mix) support the
+// future-work extensions the paper lists (traffic that is not fully
+// intra-cluster).
 package traffic
 
 import (
@@ -83,42 +83,6 @@ func (p *Uniform) Destination(src int, rng *rand.Rand) int {
 
 // Name implements Pattern.
 func (p *Uniform) Name() string { return "uniform" }
-
-// Hotspot directs a fraction of the traffic to a single hot host and the
-// rest uniformly — a classic stress pattern.
-type Hotspot struct {
-	hosts    int
-	hot      int
-	fraction float64
-	uniform  *Uniform
-}
-
-// NewHotspot builds a hotspot pattern: with probability fraction the
-// destination is `hot`, otherwise global uniform.
-func NewHotspot(hosts, hot int, fraction float64) (*Hotspot, error) {
-	if hot < 0 || hot >= hosts {
-		return nil, fmt.Errorf("traffic: hot host %d out of range [0,%d)", hot, hosts)
-	}
-	if fraction < 0 || fraction > 1 {
-		return nil, fmt.Errorf("traffic: hotspot fraction %v out of [0,1]", fraction)
-	}
-	u, err := NewUniform(hosts)
-	if err != nil {
-		return nil, err
-	}
-	return &Hotspot{hosts: hosts, hot: hot, fraction: fraction, uniform: u}, nil
-}
-
-// Destination implements Pattern.
-func (p *Hotspot) Destination(src int, rng *rand.Rand) int {
-	if rng.Float64() < p.fraction && src != p.hot {
-		return p.hot
-	}
-	return p.uniform.Destination(src, rng)
-}
-
-// Name implements Pattern.
-func (p *Hotspot) Name() string { return "hotspot" }
 
 // Mixed interpolates between the paper's pure intra-cluster pattern and
 // global uniform traffic: each message is intra-cluster with probability

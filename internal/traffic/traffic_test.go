@@ -101,45 +101,6 @@ func TestUniform(t *testing.T) {
 	}
 }
 
-func TestHotspot(t *testing.T) {
-	h, err := NewHotspot(10, 7, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	hot := 0
-	const trials = 4000
-	for i := 0; i < trials; i++ {
-		if h.Destination(0, rng) == 7 {
-			hot++
-		}
-	}
-	// ~50% + 1/9 of the rest ≈ 0.55
-	frac := float64(hot) / trials
-	if frac < 0.45 || frac > 0.65 {
-		t.Fatalf("hotspot fraction = %v, want ≈ 0.55", frac)
-	}
-	if _, err := NewHotspot(10, 10, 0.5); err == nil {
-		t.Fatal("out-of-range hot host accepted")
-	}
-	if _, err := NewHotspot(10, 0, 1.5); err == nil {
-		t.Fatal("fraction > 1 accepted")
-	}
-}
-
-func TestHotspotFromHotHostAvoidsSelf(t *testing.T) {
-	h, err := NewHotspot(4, 2, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 200; i++ {
-		if h.Destination(2, rng) == 2 {
-			t.Fatal("hot host sent to itself")
-		}
-	}
-}
-
 func TestMixed(t *testing.T) {
 	pm := processMap(t)
 	intra, err := NewIntraCluster(pm)
@@ -177,9 +138,8 @@ func TestNames(t *testing.T) {
 	pm := processMap(t)
 	intra, _ := NewIntraCluster(pm)
 	uni, _ := NewUniform(4)
-	hot, _ := NewHotspot(4, 0, 0.1)
 	mix, _ := NewMixed(intra, uni, 0.5)
-	for _, p := range []Pattern{intra, uni, hot, mix} {
+	for _, p := range []Pattern{intra, uni, mix} {
 		if p.Name() == "" {
 			t.Fatal("empty pattern name")
 		}
