@@ -36,6 +36,7 @@ const (
 // timing belongs to perfbench, and the paper's metrics to `make bench`.
 var gated = []struct{ dir, bench string }{
 	{".", "^(BenchmarkAblationDeltaVsFull|BenchmarkSimulatorRun)$"},
+	{"internal/routing", "^BenchmarkNewUpDown$"},
 	{"internal/distance", "^BenchmarkCompute$"},
 	{"internal/core", "^(BenchmarkNewSystem|BenchmarkDegrade)$"},
 	{"internal/search", "^BenchmarkTabuRestart$"},

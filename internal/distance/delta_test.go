@@ -18,7 +18,7 @@ import (
 type panicProvider struct{}
 
 func (panicProvider) Distance(s, t int) int { panic("corrupted provider") }
-func (panicProvider) PathLinks(s, t int) []topology.Link {
+func (panicProvider) AppendPathLinks(dst []topology.Link, s, t int) []topology.Link {
 	panic("corrupted provider")
 }
 
@@ -66,8 +66,8 @@ type outOfRangeProvider struct {
 	n int
 }
 
-func (p outOfRangeProvider) PathLinks(s, t int) []topology.Link {
-	return append(slices.Clip(p.PathProvider.PathLinks(s, t)), topology.Link{A: s, B: p.n + 3})
+func (p outOfRangeProvider) AppendPathLinks(dst []topology.Link, s, t int) []topology.Link {
+	return append(p.PathProvider.AppendPathLinks(dst, s, t), topology.Link{A: s, B: p.n + 3})
 }
 
 func TestComputeRejectsOutOfRangeRouteLink(t *testing.T) {
@@ -270,5 +270,49 @@ func TestComputeDeltaSizeMismatch(t *testing.T) {
 	}
 	if _, _, err := ComputeDelta(net, ud, ud, small); err == nil {
 		t.Fatal("size mismatch accepted")
+	}
+}
+
+// TestComputeAllocsDoNotGrowWithPairs: a table allocates per worker and
+// per switch, never per pair. From 32 to 96 switches the pairs grow
+// 9.2×, but Compute's and ComputeDelta's (one link removed) allocations
+// may not even triple, where one allocation per pair would grow them
+// about 9×.
+func TestComputeAllocsDoNotGrowWithPairs(t *testing.T) {
+	measure := func(n int) (compute, delta float64) {
+		net, err := topology.RandomIrregular(n, 3, rand.New(rand.NewSource(int64(n))), topology.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ud, err := routing.NewUpDown(net, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := Compute(net, ud)
+		if err != nil {
+			t.Fatal(err)
+		}
+		degraded := withoutOneLink(t, net)
+		ud2, err := routing.NewUpDown(degraded, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compute = testing.AllocsPerRun(5, func() {
+			if _, err := Compute(net, ud); err != nil {
+				t.Fatal(err)
+			}
+		})
+		delta = testing.AllocsPerRun(5, func() {
+			if _, _, err := ComputeDelta(degraded, ud2, ud, old); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return compute, delta
+	}
+	c32, d32 := measure(32)
+	c96, d96 := measure(96)
+	t.Logf("Compute %v → %v, ComputeDelta %v → %v allocs from 32 to 96 switches", c32, c96, d32, d96)
+	if c96 > 3*c32 || d96 > 3*d32 {
+		t.Fatalf("allocations grow with pairs: Compute %v → %v, ComputeDelta %v → %v from 32 to 96 switches", c32, c96, d32, d96)
 	}
 }

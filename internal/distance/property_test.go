@@ -217,7 +217,7 @@ func globalSolveMismatches(t *testing.T, net *topology.Network, p routing.PathPr
 	differ, first := 0, ""
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			links := p.PathLinks(i, j)
+			links := p.AppendPathLinks(nil, i, j)
 			edges := make([]linalg.WeightedEdge, len(links))
 			for k, l := range links {
 				edges[k] = linalg.WeightedEdge{U: l.A, V: l.B, Weight: 1}

@@ -21,6 +21,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"commsched/internal/linalg"
 	"commsched/internal/obs"
@@ -38,24 +39,28 @@ type Table struct {
 
 // Compute builds the table of equivalent distances for the network using
 // the shortest paths supplied by the given routing algorithm. The N(N−1)/2
-// effective-resistance solves are independent, so they are fanned out
-// across par's local workers, each reusing its own scratch; the result is
-// deterministic regardless of scheduling because each pair writes its own
-// cells. A panic in a worker (e.g. a path provider misbehaving on a
-// degraded topology) is recovered and surfaced as an error instead of
-// crashing the process.
+// effective-resistance solves are independent, so they are fanned out a
+// row at a time across par's local workers. Each worker reuses its own
+// scratch — route links, subgraph and solver buffers — so a table
+// allocates per worker, not per pair, and writes only the upper-triangle
+// cells of the rows it takes; the lower triangle is mirrored once every
+// row is done. The result is deterministic regardless of scheduling
+// because each pair writes its own cell. A panic in a worker (e.g. a path
+// provider misbehaving on a degraded topology) is recovered and surfaced
+// as an error instead of crashing the process.
 func Compute(net *topology.Network, provider routing.PathProvider) (*Table, error) {
 	n := net.Switches()
 	sp := obs.StartSpan("distance.compute", obs.F("switches", n), obs.F("pairs", n*(n-1)/2))
 	t := newTable(n)
-	err := forEachRow(n, func(ps *pairSolver, i int) error {
+	_, err := forEachRow(n, func(ps *pairSolver, i int) error {
+		row := t.d[i]
 		for j := i + 1; j < n; j++ {
-			r, err := ps.resistance(provider.PathLinks(i, j), i, j)
+			ps.links = provider.AppendPathLinks(ps.links[:0], i, j)
+			r, err := ps.resistance(ps.links, i, j)
 			if err != nil {
 				return err
 			}
-			t.d[i][j] = r
-			t.d[j][i] = r
+			row[j] = r
 		}
 		return nil
 	})
@@ -63,6 +68,7 @@ func Compute(net *topology.Network, provider routing.PathProvider) (*Table, erro
 		sp.End(obs.F("err", true))
 		return nil, err
 	}
+	t.mirrorUpper()
 	sp.End()
 	return t, nil
 }
@@ -72,7 +78,8 @@ func Compute(net *topology.Network, provider routing.PathProvider) (*Table, erro
 // old and new path providers and copying the rest from the old table. Both
 // providers must be defined over the same switch-ID space (use it only
 // when no switch died, so IDs are stable); the returned count is the
-// number of re-solved pairs.
+// number of re-solved pairs. It fans rows out as Compute does, with both
+// providers' route links in each worker's scratch.
 func ComputeDelta(net *topology.Network, provider, oldProvider routing.PathProvider, old *Table) (*Table, int, error) {
 	n := net.Switches()
 	if old == nil || oldProvider == nil {
@@ -84,22 +91,21 @@ func ComputeDelta(net *topology.Network, provider, oldProvider routing.PathProvi
 	}
 	sp := obs.StartSpan("distance.compute_delta", obs.F("switches", n), obs.F("pairs", n*(n-1)/2))
 	t := newTable(n)
-	rowRecomputed := make([]int, n) // written by row, summed after the loop
-	err := forEachRow(n, func(ps *pairSolver, i int) error {
+	solvers, err := forEachRow(n, func(ps *pairSolver, i int) error {
+		row, oldRow := t.d[i], old.d[i]
 		for j := i + 1; j < n; j++ {
-			links := provider.PathLinks(i, j)
-			if sameLinkSet(links, oldProvider.PathLinks(i, j)) {
-				t.d[i][j] = old.d[i][j]
-				t.d[j][i] = old.d[j][i]
+			ps.links = provider.AppendPathLinks(ps.links[:0], i, j)
+			ps.oldLinks = oldProvider.AppendPathLinks(ps.oldLinks[:0], i, j)
+			if sameLinkSet(ps.links, ps.oldLinks) {
+				row[j] = oldRow[j]
 				continue
 			}
-			rowRecomputed[i]++
-			r, err := ps.resistance(links, i, j)
+			ps.recomputed++
+			r, err := ps.resistance(ps.links, i, j)
 			if err != nil {
 				return err
 			}
-			t.d[i][j] = r
-			t.d[j][i] = r
+			row[j] = r
 		}
 		return nil
 	})
@@ -107,17 +113,18 @@ func ComputeDelta(net *topology.Network, provider, oldProvider routing.PathProvi
 		sp.End(obs.F("err", true))
 		return nil, 0, err
 	}
+	t.mirrorUpper()
 	recomputed := 0
-	for _, c := range rowRecomputed {
-		recomputed += c
+	for _, ps := range solvers {
+		recomputed += ps.recomputed
 	}
 	sp.End(obs.F("recomputed", recomputed), obs.F("reused", n*(n-1)/2-recomputed))
 	return t, recomputed, nil
 }
 
 // sameLinkSet reports whether two link slices, each without repeats as
-// PathLinks returns them, contain the same links in any order. Route
-// link sets are small, so a scan beats building a set.
+// AppendPathLinks appends them, contain the same links in any order.
+// Route link sets are small, so a scan beats building a set.
 func sameLinkSet(a, b []topology.Link) bool {
 	if len(a) != len(b) {
 		return false
@@ -132,24 +139,39 @@ func sameLinkSet(a, b []topology.Link) bool {
 
 // forEachRow runs fn for every row i of the table's upper triangle — the
 // pairs (i, j), j > i — on par's local workers, each with its own
-// pairSolver. It passes context.TODO: Compute and ComputeDelta take no
-// context, so a table is never abandoned partway through.
-func forEachRow(n int, fn func(ps *pairSolver, i int) error) error {
-	newSolver := func() *pairSolver { return newPairSolver(n) }
-	return par.Local(context.TODO(), n-1, newSolver, func(_ context.Context, ps *pairSolver, i int) error {
+// pairSolver, and returns the solvers once every row is done. It passes
+// context.TODO: Compute and ComputeDelta take no context, so a table is
+// never abandoned partway through.
+func forEachRow(n int, fn func(ps *pairSolver, i int) error) ([]*pairSolver, error) {
+	var (
+		mu      sync.Mutex
+		solvers []*pairSolver
+	)
+	newSolver := func() *pairSolver {
+		ps := newPairSolver(n)
+		mu.Lock()
+		solvers = append(solvers, ps)
+		mu.Unlock()
+		return ps
+	}
+	err := par.Local(context.TODO(), n-1, newSolver, func(_ context.Context, ps *pairSolver, i int) error {
 		return fn(ps, i)
 	})
+	return solvers, err
 }
 
-// pairSolver is one worker's scratch for solving pairs: the resistance
-// solver, the pair's route-subgraph nodes and edges, and a dense
-// switch → local-index map. Nothing in it outlives a solve, so the worker
+// pairSolver is one worker's scratch for solving pairs: the pair's route
+// links (new and, in ComputeDelta, old), the resistance solver, the route
+// subgraph's nodes and edges, and a dense switch → local-index map.
+// Nothing in it but the re-solve count outlives a pair, so the worker
 // reuses it for every pair it takes.
 type pairSolver struct {
-	solver linalg.Solver
-	nodes  []int
-	edges  []linalg.WeightedEdge
-	local  []int // local[s] = index of switch s among nodes, −1 when absent
+	links, oldLinks []topology.Link
+	solver          linalg.Solver
+	nodes           []int
+	edges           []linalg.WeightedEdge
+	local           []int // local[s] = index of switch s among nodes, −1 when absent
+	recomputed      int   // pairs ComputeDelta re-solved on this worker
 }
 
 func newPairSolver(n int) *pairSolver {
@@ -251,10 +273,22 @@ func FromMatrix(d [][]float64) (*Table, error) {
 	return t, nil
 }
 
+// mirrorUpper copies each upper-triangle cell to its lower-triangle twin.
+func (t *Table) mirrorUpper() {
+	for i := 0; i < t.n; i++ {
+		for j := i + 1; j < t.n; j++ {
+			t.d[j][i] = t.d[i][j]
+		}
+	}
+}
+
+// newTable returns an all-zero n×n table whose rows share one backing
+// array.
 func newTable(n int) *Table {
+	cells := make([]float64, n*n)
 	d := make([][]float64, n)
 	for i := range d {
-		d[i] = make([]float64, n)
+		d[i] = cells[i*n : (i+1)*n : (i+1)*n]
 	}
 	return &Table{n: n, d: d}
 }

@@ -1,7 +1,7 @@
 // Package linalg computes effective resistances on small resistor
 // networks, the one linear-algebra result the distance model needs: it
-// builds the graph Laplacian of the edges, grounds one terminal, and
-// solves the reduced system by Cholesky factorization.
+// builds the graph Laplacian of the edges with one terminal grounded,
+// and solves that reduced system by Cholesky factorization.
 //
 // The package is intentionally minimal and dependency-free (stdlib only).
 // It works on flat row-major float64 slices; sizes in this project are
@@ -19,28 +19,6 @@ import (
 type WeightedEdge struct {
 	U, V   int
 	Weight float64
-}
-
-// addLaplacian accumulates the graph Laplacian L = D − A of the
-// undirected weighted edges into the n×n row-major lap, in edge order.
-// Parallel edges accumulate (their conductances add, exactly like
-// parallel resistors). Self loops are ignored: they do not affect
-// effective resistance. It checks each endpoint before using it: lap is
-// flat, so an endpoint outside [0, n) could land on another node's cell.
-func addLaplacian(lap []float64, n int, edges []WeightedEdge) error {
-	for k, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return fmt.Errorf("linalg: edge %d (%d-%d) has an endpoint outside [0,%d)", k, e.U, e.V, n)
-		}
-		if e.U == e.V {
-			continue
-		}
-		lap[e.U*n+e.U] += e.Weight
-		lap[e.V*n+e.V] += e.Weight
-		lap[e.U*n+e.V] -= e.Weight
-		lap[e.V*n+e.U] -= e.Weight
-	}
-	return nil
 }
 
 // ErrDisconnected is returned by EffectiveResistance when the two terminal
@@ -71,9 +49,8 @@ func EffectiveResistance(n int, edges []WeightedEdge, s, t int) (float64, error)
 // many small networks in turn allocates only while the buffers grow. The
 // zero Solver is ready to use. A Solver is not safe for concurrent use.
 type Solver struct {
-	lap    []float64 // n×n Laplacian
 	parent []int     // union-find forest over the n nodes
-	idx    []int     // grounded row → node
+	row    []int     // node → grounded row, −1 for t and other components
 	red    []float64 // m×m grounded Laplacian
 	chol   []float64 // its Cholesky factor (lower triangle)
 	y, x   []float64 // forward and backward substitution vectors
@@ -88,43 +65,11 @@ func (sv *Solver) EffectiveResistance(n int, edges []WeightedEdge, s, t int) (fl
 	if s == t {
 		return 0, nil
 	}
-	sv.lap = resize(sv.lap, n*n)
-	clear(sv.lap)
-	if err := addLaplacian(sv.lap, n, edges); err != nil {
+	m, err := sv.ground(n, edges, s, t)
+	if err != nil {
 		return 0, err
 	}
-
-	// Keep only the nodes in the connected component of s and t — nodes in
-	// other components make the grounded Laplacian singular even though the
-	// resistance between s and t is well defined.
-	sv.parent = resize(sv.parent, n)
-	for i := range sv.parent {
-		sv.parent[i] = i
-	}
-	for _, e := range edges {
-		sv.parent[sv.find(e.U)] = sv.find(e.V)
-	}
-	root := sv.find(s)
-	if sv.find(t) != root {
-		return 0, ErrDisconnected
-	}
-	sv.idx = sv.idx[:0]
-	ps := 0 // grounded row of s
-	for i := 0; i < n; i++ {
-		if i != t && sv.find(i) == root { // ground t: drop its row/col
-			if i == s {
-				ps = len(sv.idx)
-			}
-			sv.idx = append(sv.idx, i)
-		}
-	}
-	m := len(sv.idx)
-	sv.red = resize(sv.red, m*m)
-	for a, ia := range sv.idx {
-		for b, ib := range sv.idx {
-			sv.red[a*m+b] = sv.lap[ia*n+ib]
-		}
-	}
+	ps := sv.row[s]
 	sv.x = resize(sv.x, m)
 	clear(sv.x)
 	sv.x[ps] = 1 // inject 1 A at s (the matching −1 sits at grounded t)
@@ -138,6 +83,67 @@ func (sv *Solver) EffectiveResistance(n int, edges []WeightedEdge, s, t int) (fl
 		return 0, err
 	}
 	return sv.x[ps], nil
+}
+
+// ground builds the grounded system of the s–t resistance in sv.red and
+// returns its order m: the graph Laplacian L = D − A of the undirected
+// weighted edges, restricted to the connected component of s and t with
+// t's row and column deleted. Nodes in other components are left out:
+// they make the grounded Laplacian singular even though the resistance
+// between s and t is well defined. sv.row maps each node to its row,
+// numbered in ascending node order, and holds −1 for t and the nodes
+// left out.
+//
+// Each edge's conductance is added straight into the m×m matrix, in edge
+// order, so every entry receives the same additions in the same order
+// as in the full n×n Laplacian. Parallel edges accumulate (their
+// conductances add, exactly like parallel resistors); self loops are
+// ignored, since they do not affect effective resistance. Each endpoint
+// is checked before it is used, so an endpoint outside [0, n) is an
+// error rather than a write to another node's cell.
+func (sv *Solver) ground(n int, edges []WeightedEdge, s, t int) (int, error) {
+	sv.parent = resize(sv.parent, n)
+	for i := range sv.parent {
+		sv.parent[i] = i
+	}
+	for k, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return 0, fmt.Errorf("linalg: edge %d (%d-%d) has an endpoint outside [0,%d)", k, e.U, e.V, n)
+		}
+		sv.parent[sv.find(e.U)] = sv.find(e.V)
+	}
+	root := sv.find(s)
+	if sv.find(t) != root {
+		return 0, ErrDisconnected
+	}
+	sv.row = resize(sv.row, n)
+	m := 0
+	for i := range sv.row {
+		sv.row[i] = -1
+		if i != t && sv.find(i) == root {
+			sv.row[i] = m
+			m++
+		}
+	}
+	sv.red = resize(sv.red, m*m)
+	clear(sv.red)
+	for _, e := range edges {
+		if e.U == e.V {
+			continue
+		}
+		a, b := sv.row[e.U], sv.row[e.V]
+		if a >= 0 {
+			sv.red[a*m+a] += e.Weight
+		}
+		if b >= 0 {
+			sv.red[b*m+b] += e.Weight
+		}
+		if a >= 0 && b >= 0 {
+			sv.red[a*m+b] -= e.Weight
+			sv.red[b*m+a] -= e.Weight
+		}
+	}
+	return m, nil
 }
 
 // find returns the root of v's tree, halving the path on the way.

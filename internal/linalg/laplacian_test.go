@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -19,47 +20,94 @@ func unitEdges(pairs [][2]int) []WeightedEdge {
 	return es
 }
 
-// laplacian returns the n×n row-major Laplacian of edges.
-func laplacian(t *testing.T, n int, edges []WeightedEdge) []float64 {
-	t.Helper()
+// fullLaplacian is the reference the grounded assembly is held to: the
+// n×n row-major Laplacian L = D − A of edges, self loops ignored.
+func fullLaplacian(n int, edges []WeightedEdge) []float64 {
 	l := make([]float64, n*n)
-	if err := addLaplacian(l, n, edges); err != nil {
-		t.Fatal(err)
+	for _, e := range edges {
+		if e.U == e.V {
+			continue
+		}
+		l[e.U*n+e.U] += e.Weight
+		l[e.V*n+e.V] += e.Weight
+		l[e.U*n+e.V] -= e.Weight
+		l[e.V*n+e.U] -= e.Weight
 	}
 	return l
 }
 
+// grounded returns the m×m system Solver.ground assembles for the s–t
+// resistance and the node of each of its rows.
+func grounded(t *testing.T, n int, edges []WeightedEdge, s, tt int) ([]float64, []int) {
+	t.Helper()
+	var sv Solver
+	m, err := sv.ground(n, edges, s, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]int, m)
+	for v, r := range sv.row {
+		if r >= 0 {
+			nodes[r] = v
+		}
+	}
+	return sv.red[:m*m], nodes
+}
+
+// TestLaplacianStructure: the grounded system is the full Laplacian with
+// t's row and column deleted, restricted to the s–t component, entry for
+// entry and bit for bit — on a graph with a parallel edge, a self loop,
+// an isolated node and a second component, and with conductances whose
+// sums round.
 func TestLaplacianStructure(t *testing.T) {
-	// Triangle on 3 nodes.
-	l := laplacian(t, 3, unitEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}))
-	for i := 0; i < 3; i++ {
-		if l[i*3+i] != 2 {
-			t.Fatalf("degree of node %d = %v, want 2", i, l[i*3+i])
-		}
-		rowSum := 0.0
-		for j := 0; j < 3; j++ {
-			rowSum += l[i*3+j]
-			if l[i*3+j] != l[j*3+i] {
-				t.Fatalf("Laplacian not symmetric at (%d,%d)", i, j)
+	const n = 7
+	edges := []WeightedEdge{
+		{U: 0, V: 1, Weight: 0.1}, {U: 1, V: 2, Weight: 1}, {U: 0, V: 2, Weight: 0.7},
+		{U: 2, V: 1, Weight: 0.2}, // parallel to 1–2
+		{U: 2, V: 2, Weight: 5},   // self loop
+		{U: 3, V: 0, Weight: 0.3}, {U: 3, V: 2, Weight: 1},
+		{U: 5, V: 6, Weight: 1}, // another component; 4 is isolated
+	}
+	full := fullLaplacian(n, edges)
+	component := []int{0, 1, 2, 3}
+	for _, s := range component {
+		for _, tt := range component {
+			if s == tt {
+				continue
 			}
-		}
-		if rowSum != 0 {
-			t.Fatalf("row %d sums to %v, want 0", i, rowSum)
+			red, nodes := grounded(t, n, edges, s, tt)
+			var want []int
+			for _, v := range component {
+				if v != tt {
+					want = append(want, v)
+				}
+			}
+			if !slices.Equal(nodes, want) {
+				t.Fatalf("s=%d t=%d: grounded rows are nodes %v, want %v", s, tt, nodes, want)
+			}
+			m := len(nodes)
+			for a, u := range nodes {
+				for b, v := range nodes {
+					if got, want := red[a*m+b], full[u*n+v]; got != want {
+						t.Fatalf("s=%d t=%d: grounded[%d][%d] = %v, full L[%d][%d] = %v", s, tt, a, b, got, u, v, want)
+					}
+				}
+			}
 		}
 	}
 }
 
 func TestLaplacianIgnoresSelfLoops(t *testing.T) {
-	l := laplacian(t, 2, []WeightedEdge{{U: 0, V: 0, Weight: 5}, {U: 0, V: 1, Weight: 1}})
-	if l[0] != 1 {
-		t.Fatalf("self loop affected Laplacian: L[0][0] = %v, want 1", l[0])
+	red, _ := grounded(t, 2, []WeightedEdge{{U: 0, V: 0, Weight: 5}, {U: 0, V: 1, Weight: 1}}, 0, 1)
+	if len(red) != 1 || red[0] != 1 {
+		t.Fatalf("self loop affected the grounded Laplacian: %v, want [1]", red)
 	}
 }
 
 func TestLaplacianParallelEdgesAccumulate(t *testing.T) {
-	l := laplacian(t, 2, unitEdges([][2]int{{0, 1}, {0, 1}}))
-	if l[1] != -2 {
-		t.Fatalf("parallel edges: L[0][1] = %v, want -2", l[1])
+	red, _ := grounded(t, 3, unitEdges([][2]int{{0, 1}, {0, 1}, {1, 2}}), 0, 2)
+	if want := []float64{2, -2, -2, 3}; !slices.Equal(red, want) {
+		t.Fatalf("parallel edges: grounded Laplacian %v, want %v", red, want)
 	}
 }
 

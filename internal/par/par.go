@@ -3,7 +3,9 @@
 // atomic counter, the first error (or recovered panic) cancels the rest,
 // and a context cancellation is honored between items. Results are
 // written by index, so a parallel loop is observably identical to the
-// sequential one it replaces.
+// sequential one it replaces. A worker's per-loop state (Local) is built
+// on the worker's own goroutine, so its scratch is allocated where it is
+// used rather than beside the other workers'.
 package par
 
 import (
@@ -65,11 +67,8 @@ func RootContext() context.Context {
 // forEach is the local executor: Local with a par.item span and a
 // progress event per item when observability is on, and no unit policy.
 func forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	var (
-		workers int
-		done    atomic.Int64
-	)
-	nextWorker := func() int { workers++; return workers - 1 }
+	var count struct{ workers, done atomic.Int64 } // the workers share both: one allocation
+	nextWorker := func() int { return int(count.workers.Add(1)) - 1 }
 	return Local(ctx, n, nextWorker, func(ctx context.Context, worker, i int) error {
 		if !obs.Enabled() {
 			return fn(ctx, i)
@@ -82,7 +81,7 @@ func forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) err
 		sp, ictx := obs.StartSpanCtx(ctx, "par.item", obs.F("worker", worker), obs.F("index", i))
 		err := fn(ictx, i)
 		sp.End(obs.F("err", err != nil))
-		obs.Progress("par.foreach", done.Add(1), int64(n))
+		obs.Progress("par.foreach", count.done.Add(1), int64(n))
 		return err
 	})
 }
@@ -91,19 +90,25 @@ func forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) err
 // min(GOMAXPROCS, n) goroutines of this process and returns the first
 // error. It is the package's only bounded-worker loop: ForEach and
 // ForEachPartial reach it through the local executor. newState is
-// called once per worker, on the calling goroutine before any item
-// runs, and the worker passes its state to every item it takes, so fn
-// can keep scratch there without locking. A nil ctx means the root
-// context; cancellation stops workers between items and is surfaced as
-// the (wrapped) context error. A panicking fn is recovered into an
-// error. Local ignores the installed Executor and Policy and records
-// nothing per item, so it suits fine-grained items.
+// called once per worker, on that worker's goroutine before it takes an
+// item, and the worker passes its state to every item it takes, so fn
+// can keep scratch there without locking. Workers call newState
+// concurrently: built where it is used, a worker's scratch comes from
+// the allocation cache of the P that runs it, not packed beside the
+// other workers' scratch where their writes would share cache lines. A
+// nil ctx means the root context; cancellation stops workers between
+// items and is surfaced as the (wrapped) context error. A panicking
+// newState or fn is recovered into an error. Local ignores the installed
+// Executor and Policy and records nothing per item, so it suits
+// fine-grained items.
 func Local[S any](ctx context.Context, n int, newState func() S, fn func(ctx context.Context, state S, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	if ctx == nil {
-		ctx = RootContext()
+		// Not ctx = RootContext(): the workers would then capture a
+		// reassigned ctx by reference, one more allocation per loop.
+		return Local(RootContext(), n, newState, fn)
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -115,7 +120,6 @@ func Local[S any](ctx context.Context, n int, newState func() S, fn func(ctx con
 		failed atomic.Pointer[error]
 	)
 	for w := 0; w < workers; w++ {
-		state := newState()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -124,6 +128,7 @@ func Local[S any](ctx context.Context, n int, newState func() S, fn func(ctx con
 					fail(&failed, fmt.Errorf("par: worker panic: %v", r))
 				}
 			}()
+			state := newState()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || failed.Load() != nil {

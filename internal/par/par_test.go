@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -70,11 +71,16 @@ func TestForEachHonorsCancellation(t *testing.T) {
 
 func TestLocalGivesEachWorkerItsOwnState(t *testing.T) {
 	const n = 1000
-	var states []*int
+	var (
+		mu     sync.Mutex // workers build their states concurrently
+		states []*int
+	)
 	visits := make([]atomic.Int64, n)
 	err := Local(context.Background(), n, func() *int {
 		c := new(int)
+		mu.Lock()
 		states = append(states, c)
+		mu.Unlock()
 		return c
 	}, func(_ context.Context, c *int, i int) error {
 		*c++ // unsynchronized: -race flags a state two workers share
@@ -98,6 +104,18 @@ func TestLocalGivesEachWorkerItsOwnState(t *testing.T) {
 		if c := visits[i].Load(); c != 1 {
 			t.Fatalf("index %d visited %d times", i, c)
 		}
+	}
+}
+
+// TestLocalRecoversNewStatePanic: newState runs on the worker, so its
+// panic is recovered into the loop's error like an item's.
+func TestLocalRecoversNewStatePanic(t *testing.T) {
+	err := Local(context.Background(), 10, func() int { panic("no state") }, func(context.Context, int, int) error {
+		t.Error("item ran without its worker's state")
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "no state") {
+		t.Fatalf("newState panic not surfaced as error: %v", err)
 	}
 }
 

@@ -9,14 +9,15 @@ import (
 // quantifies how much of the distance table's structure comes from the
 // up*/down* restriction versus the raw topology.
 type ShortestPath struct {
-	net  *topology.Network
-	dist [][]int // dist[s][t] = BFS hop distance
+	net   *topology.Network
+	links []topology.Link // the network's links, copied once
+	dist  [][]int         // dist[s][t] = BFS hop distance
 }
 
 // NewShortestPath precomputes all-pairs BFS distances.
 func NewShortestPath(net *topology.Network) *ShortestPath {
 	n := net.Switches()
-	sp := &ShortestPath{net: net, dist: make([][]int, n)}
+	sp := &ShortestPath{net: net, links: net.Links(), dist: make([][]int, n)}
 	for s := 0; s < n; s++ {
 		sp.dist[s] = net.BFSDistances(s)
 	}
@@ -26,21 +27,20 @@ func NewShortestPath(net *topology.Network) *ShortestPath {
 // Distance returns the hop distance between s and t.
 func (sp *ShortestPath) Distance(s, t int) int { return sp.dist[s][t] }
 
-// PathLinks returns the links on at least one minimal path from s to t:
-// link (u,v) qualifies iff d(s,u) + 1 + d(v,t) == d(s,t) in either
-// direction.
-func (sp *ShortestPath) PathLinks(s, t int) []topology.Link {
+// AppendPathLinks appends to dst the links on at least one minimal path
+// from s to t and returns the extended slice: link (u,v) qualifies iff
+// d(s,u) + 1 + d(v,t) == d(s,t) in either direction.
+func (sp *ShortestPath) AppendPathLinks(dst []topology.Link, s, t int) []topology.Link {
 	if s == t {
-		return nil
+		return dst
 	}
 	d := sp.dist[s][t]
-	var out []topology.Link
-	for _, l := range sp.net.Links() {
+	for _, l := range sp.links {
 		if sp.dist[s][l.A]+1+sp.dist[l.B][t] == d || sp.dist[s][l.B]+1+sp.dist[l.A][t] == d {
-			out = append(out, l)
+			dst = append(dst, l)
 		}
 	}
-	return out
+	return dst
 }
 
 // NextHops returns the neighbors of s that advance toward t along a

@@ -18,12 +18,12 @@ func TestShortestPathDistance(t *testing.T) {
 func TestShortestPathLinksPath(t *testing.T) {
 	net := pathNet(t)
 	sp := NewShortestPath(net)
-	links := sp.PathLinks(0, 3)
+	links := sp.AppendPathLinks(nil, 0, 3)
 	if len(links) != 3 {
-		t.Fatalf("PathLinks(0,3) = %v, want 3 links", links)
+		t.Fatalf("AppendPathLinks(0,3) = %v, want 3 links", links)
 	}
-	if sp.PathLinks(1, 1) != nil {
-		t.Fatal("PathLinks(i,i) must be nil")
+	if sp.AppendPathLinks(nil, 1, 1) != nil {
+		t.Fatal("AppendPathLinks(i,i) must be nil")
 	}
 }
 
@@ -34,12 +34,12 @@ func TestShortestPathLinksRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := NewShortestPath(net)
-	if got := len(sp.PathLinks(0, 2)); got != 4 {
-		t.Fatalf("ring-4 PathLinks(0,2) = %d links, want 4", got)
+	if got := len(sp.AppendPathLinks(nil, 0, 2)); got != 4 {
+		t.Fatalf("ring-4 AppendPathLinks(0,2) = %d links, want 4", got)
 	}
 	// Adjacent: only the direct link.
-	if got := len(sp.PathLinks(0, 1)); got != 1 {
-		t.Fatalf("ring-4 PathLinks(0,1) = %d links, want 1", got)
+	if got := len(sp.AppendPathLinks(nil, 0, 1)); got != 1 {
+		t.Fatalf("ring-4 AppendPathLinks(0,1) = %d links, want 1", got)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestShortestPathLinksConsistentWithDistance(t *testing.T) {
 	sp := NewShortestPath(net)
 	for s := 0; s < 16; s++ {
 		for tt := 0; tt < 16; tt++ {
-			links := sp.PathLinks(s, tt)
+			links := sp.AppendPathLinks(nil, s, tt)
 			if s == tt {
 				if links != nil {
 					t.Fatal("self pair must have no path links")
@@ -92,7 +92,7 @@ func TestShortestPathLinksConsistentWithDistance(t *testing.T) {
 				continue
 			}
 			if len(links) < sp.Distance(s, tt) {
-				t.Fatalf("PathLinks(%d,%d) has %d links; a single minimal path needs %d",
+				t.Fatalf("AppendPathLinks(%d,%d) has %d links; a single minimal path needs %d",
 					s, tt, len(links), sp.Distance(s, tt))
 			}
 		}

@@ -28,9 +28,13 @@ type PathProvider interface {
 	// Distance returns the length in hops of the shortest route the
 	// algorithm supplies between switches s and t, 0 when s == t.
 	Distance(s, t int) int
-	// PathLinks returns the set of links that belong to at least one
-	// shortest route from s to t.
-	PathLinks(s, t int) []topology.Link
+	// AppendPathLinks appends to dst the set of links that belong to at
+	// least one shortest route from s to t, each once, and returns the
+	// extended slice; nothing is appended when s == t. It never reads or
+	// dedupes against what dst already holds, so a caller that passes
+	// its own buffer, truncated, gets the links without an allocation
+	// once the buffer has grown to fit them.
+	AppendPathLinks(dst []topology.Link, s, t int) []topology.Link
 }
 
 // Hop is one admissible next step of a routed message.
@@ -49,7 +53,8 @@ type UpDown struct {
 	root  int
 	level []int // BFS level of each switch from the root
 
-	// dist[s][t] = legal shortest route length.
+	// dist[s][t] = legal shortest route length; the rows share one
+	// backing array.
 	dist [][]int
 	// hops holds the admissible next hops on legal shortest routes of
 	// every (destination, switch, phase) state, back to back: those of a
@@ -74,7 +79,13 @@ func NewUpDown(net *topology.Network, root int) (*UpDown, error) {
 	if root >= n {
 		return nil, fmt.Errorf("routing: root %d out of range [0,%d)", root, n)
 	}
-	if !net.Connected() {
+	if root < 0 {
+		root = electRoot(net)
+	}
+	// The levels are a BFS from the root, so they also tell whether the
+	// network is connected; the error names what switch 0 cannot reach.
+	level := net.BFSDistances(root)
+	if slices.Contains(level, -1) {
 		var unreachable []int
 		for s, d := range net.BFSDistances(0) {
 			if d < 0 {
@@ -84,10 +95,7 @@ func NewUpDown(net *topology.Network, root int) (*UpDown, error) {
 		return nil, fmt.Errorf("routing: up*/down* requires a connected network: %s is partitioned, switches %v unreachable from switch 0",
 			net.Name(), unreachable)
 	}
-	if root < 0 {
-		root = electRoot(net)
-	}
-	ud := &UpDown{net: net, root: root, level: net.BFSDistances(root)}
+	ud := &UpDown{net: net, root: root, level: level}
 	ud.computeAllPairs()
 	return ud, nil
 }
@@ -144,22 +152,33 @@ func (ud *UpDown) NextHops(s, t int, descending bool) []Hop {
 	return ud.hops[lo:hi:hi]
 }
 
+// bfsState is one state of the legality automaton: a switch and a phase.
+type bfsState struct{ v, p int }
+
 // computeAllPairs fills dist, hops and off via one backward BFS per
 // destination over the 2·N-state legality automaton
-// (switch × {up-phase, down-phase}).
+// (switch × {up-phase, down-phase}). Its buffers are allocated once per
+// network: the BFS distances and queue are reused across destinations,
+// and hops starts with room for 1.5 admissible hops per switch pair. The
+// degree-3 irregular networks the paper routes need 1.14–1.26 at 16–128
+// switches, so hops is allocated once for them without retaining much
+// slack; denser fabrics (a torus, a hypercube) grow it once or twice.
 func (ud *UpDown) computeAllPairs() {
 	n := ud.net.Switches()
+	cells := make([]int, n*n)
 	ud.dist = make([][]int, n)
-	for s := 0; s < n; s++ {
-		ud.dist[s] = make([]int, n)
+	for s := range ud.dist {
+		ud.dist[s] = cells[s*n : (s+1)*n : (s+1)*n]
 	}
-	ud.off = make([]int32, 0, 2*n*n+1)
-	ud.off = append(ud.off, 0)
+	ud.off = make([]int32, 1, 2*n*n+1)
+	ud.hops = make([]Hop, 0, 3*n*n/2)
 
 	// db[p][v] = minimal legal hops from v (in phase p) to the target.
-	db := [2][]int{make([]int, n), make([]int, n)}
+	dbCells := make([]int, 2*n)
+	db := [2][]int{dbCells[:n:n], dbCells[n:]}
+	queue := make([]bfsState, 0, 2*n)
 	for t := 0; t < n; t++ {
-		ud.backwardDistances(t, db)
+		ud.backwardDistances(t, db, queue)
 		for s := 0; s < n; s++ {
 			ud.dist[s][t] = db[phaseUp][s]
 			for _, p := range [2]int{phaseUp, phaseDown} {
@@ -179,22 +198,20 @@ func (ud *UpDown) computeAllPairs() {
 //	(v, down) --down-link--> (w, down)
 //
 // We run a BFS on the reversed transition graph starting from both
-// terminal states (t, up) and (t, down).
-func (ud *UpDown) backwardDistances(t int, db [2][]int) {
+// terminal states (t, up) and (t, down). queue is scratch with capacity
+// for all 2·N states, each of which is enqueued at most once.
+func (ud *UpDown) backwardDistances(t int, db [2][]int, queue []bfsState) {
 	n := ud.net.Switches()
 	const inf = int(^uint(0) >> 1)
 	for v := 0; v < n; v++ {
 		db[phaseUp][v] = inf
 		db[phaseDown][v] = inf
 	}
-	type state struct{ v, p int }
-	queue := make([]state, 0, 2*n)
 	db[phaseUp][t] = 0
 	db[phaseDown][t] = 0
-	queue = append(queue, state{t, phaseUp}, state{t, phaseDown})
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], bfsState{t, phaseUp}, bfsState{t, phaseDown})
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		d := db[cur.p][cur.v]
 		// Find predecessors (u, pu) with a forward transition to cur.
 		for _, u := range ud.net.Neighbors(cur.v) {
@@ -204,17 +221,17 @@ func (ud *UpDown) backwardDistances(t int, db [2][]int) {
 				// (u, up) --up--> (v, up)
 				if db[phaseUp][u] == inf {
 					db[phaseUp][u] = d + 1
-					queue = append(queue, state{u, phaseUp})
+					queue = append(queue, bfsState{u, phaseUp})
 				}
 			case cur.p == phaseDown && !up:
 				// (u, up) --down--> (v, down) and (u, down) --down--> (v, down)
 				if db[phaseUp][u] == inf {
 					db[phaseUp][u] = d + 1
-					queue = append(queue, state{u, phaseUp})
+					queue = append(queue, bfsState{u, phaseUp})
 				}
 				if db[phaseDown][u] == inf {
 					db[phaseDown][u] = d + 1
-					queue = append(queue, state{u, phaseDown})
+					queue = append(queue, bfsState{u, phaseDown})
 				}
 			}
 		}
@@ -253,33 +270,34 @@ func (ud *UpDown) appendAdmissibleHops(out []Hop, s, t, p int, db [2][]int) []Ho
 	return out
 }
 
-// PathLinks returns the set of links that lie on at least one legal
+// AppendPathLinks appends to dst the links that lie on at least one legal
 // shortest route from s to t — the resistor network of the paper's
-// equivalent-distance computation.
-func (ud *UpDown) PathLinks(s, t int) []topology.Link {
+// equivalent-distance computation — each once, and returns the extended
+// slice.
+func (ud *UpDown) AppendPathLinks(dst []topology.Link, s, t int) []topology.Link {
 	if s == t {
-		return nil
+		return dst
 	}
 	// Walk the admissible-hop DAG from (s, up) one layer of hops at a time;
 	// every traversed move is on a minimal route by construction of the
 	// hop table. Each hop lowers the remaining distance by exactly one, so
 	// a state can recur only within its own layer, and states are
 	// deduplicated against that layer alone. Route subgraphs are small, so
-	// both lists live in stack buffers and links are deduplicated by scan.
+	// the layers live in stack buffers, and links are deduplicated by a
+	// scan of what this call appended.
 	type state struct {
 		v    int
 		down bool
 	}
 	var stateBuf [2][16]state
-	var linkBuf [32]topology.Link
 	layer, next := append(stateBuf[0][:0], state{s, false}), stateBuf[1][:0]
-	links := linkBuf[:0]
+	base := len(dst)
 	for len(layer) > 0 {
 		next = next[:0]
 		for _, st := range layer {
 			for _, h := range ud.NextHops(st.v, t, st.down) {
-				if l := topology.NormalizeLink(st.v, h.To); !slices.Contains(links, l) {
-					links = append(links, l)
+				if l := topology.NormalizeLink(st.v, h.To); !slices.Contains(dst[base:], l) {
+					dst = append(dst, l)
 				}
 				if ns := (state{h.To, h.Descending}); h.To != t && !slices.Contains(next, ns) {
 					next = append(next, ns)
@@ -288,12 +306,7 @@ func (ud *UpDown) PathLinks(s, t int) []topology.Link {
 		}
 		layer, next = next, layer
 	}
-	if len(links) == 0 {
-		return nil
-	}
-	out := make([]topology.Link, len(links))
-	copy(out, links)
-	return out
+	return dst
 }
 
 // CountShortestLegalPaths returns the number of distinct minimal legal

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -186,12 +187,12 @@ func TestNextHopsDescendingRestricted(t *testing.T) {
 func TestPathLinksOnPathGraph(t *testing.T) {
 	net := pathNet(t)
 	ud, _ := NewUpDown(net, 0)
-	links := ud.PathLinks(0, 3)
+	links := ud.AppendPathLinks(nil, 0, 3)
 	if len(links) != 3 {
-		t.Fatalf("PathLinks(0,3) = %v, want all 3 path links", links)
+		t.Fatalf("AppendPathLinks(0,3) = %v, want all 3 path links", links)
 	}
-	if ud.PathLinks(2, 2) != nil {
-		t.Fatal("PathLinks(i,i) must be empty")
+	if ud.AppendPathLinks(nil, 2, 2) != nil {
+		t.Fatal("AppendPathLinks(i,i) must be empty")
 	}
 }
 
@@ -210,9 +211,9 @@ func TestPathLinksSubsetOfNetworkLinks(t *testing.T) {
 	}
 	for s := 0; s < 16; s++ {
 		for tt := 0; tt < 16; tt++ {
-			for _, l := range ud.PathLinks(s, tt) {
+			for _, l := range ud.AppendPathLinks(nil, s, tt) {
 				if !valid[l] {
-					t.Fatalf("PathLinks(%d,%d) returned non-network link %v", s, tt, l)
+					t.Fatalf("AppendPathLinks(%d,%d) returned non-network link %v", s, tt, l)
 				}
 			}
 		}
@@ -249,9 +250,9 @@ func TestShortestLegalPathsProperties(t *testing.T) {
 }
 
 func TestPathLinksMatchEnumeratedPaths(t *testing.T) {
-	// PathLinks must equal exactly the union of links appearing in the
+	// AppendPathLinks must equal exactly the union of links appearing in the
 	// enumerated minimal legal routes, each link once. The torus and the
-	// hypercube have route subgraphs larger than PathLinks' stack buffers.
+	// hypercube have route subgraphs larger than AppendPathLinks' stack buffers.
 	irregular, err := topology.RandomIrregular(12, 3, rand.New(rand.NewSource(48)), topology.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -278,20 +279,20 @@ func TestPathLinksMatchEnumeratedPaths(t *testing.T) {
 						want[topology.NormalizeLink(path[i-1], path[i])] = true
 					}
 				}
-				links := ud.PathLinks(s, tt)
+				links := ud.AppendPathLinks(nil, s, tt)
 				got := map[topology.Link]bool{}
 				for _, l := range links {
 					got[l] = true
 				}
 				if len(links) != len(got) {
-					t.Fatalf("%s (%d,%d): PathLinks repeats a link: %v", net.Name(), s, tt, links)
+					t.Fatalf("%s (%d,%d): AppendPathLinks repeats a link: %v", net.Name(), s, tt, links)
 				}
 				if len(got) != len(want) {
-					t.Fatalf("%s (%d,%d): PathLinks has %d links, enumeration %d", net.Name(), s, tt, len(got), len(want))
+					t.Fatalf("%s (%d,%d): AppendPathLinks has %d links, enumeration %d", net.Name(), s, tt, len(got), len(want))
 				}
 				for l := range want {
 					if !got[l] {
-						t.Fatalf("%s (%d,%d): link %v in enumerated paths missing from PathLinks", net.Name(), s, tt, l)
+						t.Fatalf("%s (%d,%d): link %v in enumerated paths missing from AppendPathLinks", net.Name(), s, tt, l)
 					}
 				}
 			}
@@ -389,4 +390,49 @@ func walkTerminates(ud *UpDown, s, t int) bool {
 		cur, down = hops[0].To, hops[0].Descending
 	}
 	return cur == t
+}
+
+// TestAppendPathLinksKeepsDst: the links are appended after what dst
+// holds, which is neither read nor deduplicated against — a link already
+// in dst is appended again when the route uses it.
+func TestAppendPathLinksKeepsDst(t *testing.T) {
+	net := pathNet(t)
+	ud, err := NewUpDown(net, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := NewShortestPath(net)
+	for name, p := range map[string]PathProvider{"updown": ud, "shortest": sp} {
+		prefix := []topology.Link{{A: 1, B: 2}, {A: 5, B: 6}}
+		got := p.AppendPathLinks(slices.Clone(prefix), 0, 3)
+		if len(got) != 5 || !slices.Equal(got[:2], prefix) {
+			t.Fatalf("%s: AppendPathLinks onto %v = %v, want the prefix then all 3 path links", name, prefix, got)
+		}
+		if !slices.Contains(got[2:], topology.Link{A: 1, B: 2}) {
+			t.Fatalf("%s: the route's link 1-2 was deduplicated against dst: %v", name, got)
+		}
+		if got := p.AppendPathLinks(prefix, 2, 2); !slices.Equal(got, prefix) {
+			t.Fatalf("%s: AppendPathLinks(i,i) changed dst to %v", name, got)
+		}
+	}
+}
+
+// TestNewUpDownAllocsDoNotGrowWithSwitches: the routing structure is
+// allocated a fixed number of times per network, however many switches
+// (and pairs, and BFS passes) it has.
+func TestNewUpDownAllocsDoNotGrowWithSwitches(t *testing.T) {
+	allocs := func(n int) float64 {
+		net, err := topology.RandomIrregular(n, 3, rand.New(rand.NewSource(int64(n))), topology.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewUpDown(net, -1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(32), allocs(96); large > small+2 {
+		t.Fatalf("NewUpDown allocates %v times at 96 switches, %v at 32", large, small)
+	}
 }

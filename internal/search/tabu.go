@@ -146,8 +146,12 @@ func validateSpecShape(spec Spec) error {
 // Restart seeds are pre-drawn from rng and every restart is fully
 // independent (own starting partition, own incumbent for the aspiration
 // criterion); the restarts run in sequence and merge in restart order.
+// One start generator serves every restart, reseeded with the restart's
+// seed, which gives the stream a fresh rand.New(rand.NewSource(seed))
+// would without allocating a source per restart.
 func (t *Tabu) searchObjective(ctx context.Context, obj Objective, spec Spec, rng *rand.Rand, traceF func(*mapping.Partition) float64) (*Result, error) {
 	seeds := restartSeeds(rng, t.Restarts)
+	var startRng *rand.Rand
 	merged := &Result{}
 	globalIter := 0
 	var record func(p *mapping.Partition, restart int)
@@ -157,7 +161,12 @@ func (t *Tabu) searchObjective(ctx context.Context, obj Objective, spec Spec, rn
 		}
 	}
 	for restart, seed := range seeds {
-		sub, err := t.runSeededRestart(ctx, obj, spec, seed, restart, &globalIter, record)
+		if startRng == nil {
+			startRng = rand.New(rand.NewSource(seed))
+		} else {
+			startRng.Seed(seed)
+		}
+		sub, err := t.runSeededRestart(ctx, obj, spec, startRng, restart, &globalIter, record)
 		if err != nil {
 			return nil, err
 		}
@@ -177,10 +186,11 @@ func restartSeeds(rng *rand.Rand, n int) []int64 {
 	return seeds
 }
 
-// runSeededRestart executes one independent restart from its pre-drawn
-// seed and returns its private Result.
-func (t *Tabu) runSeededRestart(ctx context.Context, obj Objective, spec Spec, seed int64, restart int, globalIter *int, record func(*mapping.Partition, int)) (*Result, error) {
-	p, err := spec.randomPartition(rand.New(rand.NewSource(seed)))
+// runSeededRestart executes one independent restart from a start
+// partition drawn from startRng, seeded with the restart's pre-drawn
+// seed, and returns its private Result.
+func (t *Tabu) runSeededRestart(ctx context.Context, obj Objective, spec Spec, startRng *rand.Rand, restart int, globalIter *int, record func(*mapping.Partition, int)) (*Result, error) {
+	p, err := spec.randomPartition(startRng)
 	if err != nil {
 		return nil, err
 	}

@@ -209,7 +209,8 @@ func (n *Network) BFSDistances(src int) []int {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
+	queue := make([]int, 1, n.switches) // each switch is queued at most once
+	queue[0] = src
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
