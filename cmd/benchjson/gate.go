@@ -20,6 +20,10 @@ const (
 	// (not 1x), short enough that ten rounds of both sides take a few
 	// minutes on two cores.
 	benchtime = "200ms"
+	// rootBenchtime is the root package's -test.benchtime. A simulator
+	// row's 200ms sample is only a few runs, and at 200ms one A/A run in
+	// three flagged two root-package rows on identical trees.
+	rootBenchtime = "1s"
 	// alpha is the one-sided Mann-Whitney significance level.
 	alpha = 0.01
 	// minEffect is the smallest relative growth of a median ns/op, B/op
@@ -45,18 +49,20 @@ var gated = []struct{ dir, bench string }{
 	{"internal/obs", "^(BenchmarkDisabled.*|BenchmarkMemoryEvent)$"},
 	{"internal/heft", "^BenchmarkScheduleDAG$"},
 	{"internal/telemetry", "^BenchmarkWritePrometheus$"},
-	{"internal/lease", "^(BenchmarkClaimDone|BenchmarkPoolLoop)$"},
+	{"internal/runstate", "^BenchmarkRecord$"},
+	{"internal/lease", "^(BenchmarkClaimDone|BenchmarkRenew|BenchmarkPoolLoop)$"},
 }
 
 // gateRecord is what the gate writes to gateDir/gate.json.
 type gateRecord struct {
-	Base      string  `json:"base"`
-	Change    string  `json:"change"`
-	Rounds    int     `json:"rounds"`
-	Benchtime string  `json:"benchtime"`
-	Alpha     float64 `json:"alpha"`
-	MinEffect float64 `json:"min_effect"`
-	CPU       string  `json:"cpu,omitempty"`
+	Base          string  `json:"base"`
+	Change        string  `json:"change"`
+	Rounds        int     `json:"rounds"`
+	Benchtime     string  `json:"benchtime"`
+	RootBenchtime string  `json:"root_benchtime"`
+	Alpha         float64 `json:"alpha"`
+	MinEffect     float64 `json:"min_effect"`
+	CPU           string  `json:"cpu,omitempty"`
 	*Comparison
 }
 
@@ -142,7 +148,7 @@ func runGate(args []string, w io.Writer) (int, error) {
 	}
 	c.print(w)
 	rec := gateRecord{Base: base, Change: change, Rounds: rounds, Benchtime: benchtime,
-		Alpha: alpha, MinEffect: minEffect, CPU: reps[1].CPU, Comparison: c}
+		RootBenchtime: rootBenchtime, Alpha: alpha, MinEffect: minEffect, CPU: reps[1].CPU, Comparison: c}
 	if err := writeJSON(filepath.Join(dir, "gate.json"), rec); err != nil {
 		return 0, err
 	}
@@ -182,8 +188,12 @@ func (s *side) run(dir string, i int) error {
 	if _, err := os.Stat(bin); err != nil {
 		return nil // not built: no such package, or no test files
 	}
+	bt := benchtime
+	if gated[i].dir == "." {
+		bt = rootBenchtime
+	}
 	cmd := exec.Command(bin, "-test.run=^$", "-test.bench="+gated[i].bench,
-		"-test.benchmem", "-test.benchtime="+benchtime)
+		"-test.benchmem", "-test.benchtime="+bt)
 	cmd.Dir = filepath.Join(s.root, gated[i].dir)
 	cmd.Stdout, cmd.Stderr = &s.out, os.Stderr
 	if err := cmd.Run(); err != nil {

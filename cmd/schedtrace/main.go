@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -66,7 +65,7 @@ func main() {
 		}
 	}
 	if *state != "" {
-		jobs, err := loadStateJobs(*state)
+		jobs, err := service.LoadJobs(*state)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "schedtrace: %v\n", err)
 			os.Exit(1)
@@ -225,56 +224,6 @@ func (b *builder) addJobs(jobs []service.Job) {
 		}
 		b.nodes[j.Trace] = append(b.nodes[j.Trace], n)
 	}
-}
-
-// loadStateJobs reads the daemon jobs journal (snapshot plus journal
-// lines, later records winning) directly from disk — read-only, so it
-// works on a live daemon's state directory without taking its locks.
-func loadStateJobs(stateDir string) ([]service.Job, error) {
-	dir := filepath.Join(stateDir, "jobs")
-	units := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(filepath.Join(dir, "snapshot.json")); err == nil {
-		var snap struct {
-			Units map[string]json.RawMessage `json:"units"`
-		}
-		if err := json.Unmarshal(data, &snap); err == nil {
-			for k, v := range snap.Units {
-				units[k] = v
-			}
-		}
-	}
-	if f, err := os.Open(filepath.Join(dir, "journal.jsonl")); err == nil {
-		defer f.Close()
-		if _, err := obs.ScanJSONLines(f, func(line []byte) error {
-			var jl struct {
-				Key     string          `json:"key"`
-				Payload json.RawMessage `json:"payload"`
-			}
-			if json.Unmarshal(line, &jl) == nil && jl.Key != "" {
-				units[jl.Key] = jl.Payload
-			}
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("reading jobs journal: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	var jobs []service.Job
-	for key, payload := range units {
-		if !strings.HasPrefix(key, "job/") {
-			continue
-		}
-		var j service.Job
-		if json.Unmarshal(payload, &j) == nil && j.ID != "" {
-			jobs = append(jobs, j)
-		}
-	}
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].Seq < jobs[b].Seq })
-	if len(jobs) == 0 && len(units) == 0 {
-		return nil, fmt.Errorf("no jobs journal under %s (expected %s)", stateDir, dir)
-	}
-	return jobs, nil
 }
 
 // build assembles the flat node lists into trees: spans index by span

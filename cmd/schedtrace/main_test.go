@@ -151,7 +151,7 @@ func TestJobNodesNestUnderAdmissionSpan(t *testing.T) {
 }
 
 func TestLoadStateJobsMissingDir(t *testing.T) {
-	if _, err := loadStateJobs(t.TempDir()); err == nil {
+	if _, err := service.LoadJobs(t.TempDir()); err == nil {
 		t.Fatal("an empty directory must be reported, not treated as zero jobs")
 	}
 }

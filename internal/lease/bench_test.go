@@ -33,6 +33,26 @@ func BenchmarkClaimDone(b *testing.B) {
 	}
 }
 
+// BenchmarkRenew times one renewal of a held lease: the holder read, the
+// fsync'd record renamed into place and the read-back.
+func BenchmarkRenew(b *testing.B) {
+	m, err := Open(b.TempDir(), "w1", time.Minute)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := m.Acquire("u", false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Renew(l); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPoolLoop times the pool's per-unit dispatch: two workers with
 // one slot each, at the default TTL, share one directory and split a
 // 16-unit loop of 1 ms units, replaying each other's. ns/unit is the

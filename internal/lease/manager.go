@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"commsched/internal/obs"
+	"commsched/internal/runstate"
 )
 
 // Mode classifies how a lease (or execution) was obtained; it labels the
@@ -169,7 +170,9 @@ func sanitize(unit string) string {
 // AllocToken allocates the next globally unique, monotonically
 // increasing fencing token by creating tokens/t<n> with O_EXCL. Lost
 // races bump n and retry, so concurrent allocations across workers never
-// collide and never go backwards.
+// collide and never go backwards. The token file is neither fsync'd nor
+// published whole: only its name counts (its content, the owner, is for
+// people), and the name exists from the O_EXCL create on.
 func (m *Manager) AllocToken() (uint64, error) {
 	for {
 		next := m.tokenHint.Load() + 1
@@ -419,7 +422,10 @@ type workerInfo struct {
 }
 
 // Heartbeat refreshes this worker's registry entry; the pool calls it on
-// its lease-renewal cadence.
+// its lease-renewal cadence. The entry is renamed into place without an
+// fsync: LiveWorkers reads only its name and mtime, and the live set only
+// orders each worker's claims, so a lost beat can cost a claim race but
+// never a result.
 func (m *Manager) Heartbeat() error {
 	path := filepath.Join(m.dir, "workers", m.owner+".json")
 	data, err := json.Marshal(workerInfo{PID: os.Getpid(), Started: m.now().UnixNano()})
@@ -464,30 +470,13 @@ func (m *Manager) LiveWorkers(window time.Duration) []string {
 
 // ---- helpers ----
 
-// publish writes rec to a temp file under tmp/, fsyncs it and puts it
-// at path with place, so a reader sees no file or a whole record, never
-// a torn one. os.Link never replaces a file: it fails with an error
-// matching fs.ErrExist, the same first-wins rule as O_EXCL. os.Rename
-// replaces one. Temp files live outside units/ and done/, so nothing
-// that scans those ever sees one.
+// publish puts rec at path whole with runstate.WriteFileAtomic, by link
+// (first wins, fs.ErrExist otherwise) or by rename (replaces). Its temp
+// files live in tmp/, outside units/ and done/, so nothing that lists
+// those ever sees one.
 func (m *Manager) publish(path string, rec Record, place func(oldname, newname string) error) error {
-	tmp, err := os.CreateTemp(filepath.Join(m.dir, "tmp"), filepath.Base(path)+".*")
-	if err != nil {
-		return fmt.Errorf("lease: temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	_, werr := tmp.WriteString(rec.String())
-	if serr := tmp.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("lease: writing %s: %w", path, werr)
-	}
-	if err := place(tmp.Name(), path); err != nil {
-		return fmt.Errorf("lease: publishing %s: %w", path, err)
+	if err := runstate.WriteFileAtomic(filepath.Join(m.dir, "tmp"), path, []byte(rec.String()), place); err != nil {
+		return fmt.Errorf("lease: %w", err)
 	}
 	return nil
 }

@@ -20,9 +20,13 @@
 //	    wins, later duplicates (speculation, zombies) detect the loss
 //	    and stand down. No unit is leased once its marker exists.
 //
-// Leases and markers are written to temp files under tmp/ and fsync'd
-// before they are linked or renamed into place, so a reader never sees
-// a partial record.
+// Leases, renewals and markers are published with runstate's one
+// atomic write (runstate.WriteFileAtomic): a temp file under tmp/ is
+// fsync'd before it is linked or renamed into place, so after a SIGKILL a
+// reader sees no record or a whole one, never a partial one. Power loss
+// is not covered, since no directory is fsync'd. Token files and the
+// workers/ registry are not fsync'd at all: only their names and mtimes
+// count (see AllocToken and Heartbeat).
 //
 // Fencing makes zombies harmless: every result is journaled under the
 // fencing token it was computed with, and the journal merge keeps the

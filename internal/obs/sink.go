@@ -244,8 +244,10 @@ func (j *JSONL) Close() error {
 // blank lines. A final line without a trailing newline — the torn append
 // of a crashed writer — is passed to fn only if it parses as a complete
 // JSON value; otherwise it is counted in the skipped return, never an
-// error. This is the shared crash-tolerance contract for every JSONL
-// reader in the module (obs traces, runstate journals).
+// error. It reads obs traces (schedtrace uses it). Runstate journals
+// have their own reader, which takes complete lines only: runstate
+// seals a torn tail before it replays, and a shared journal's
+// incomplete last line is a sibling's append still in flight.
 func ScanJSONLines(r io.Reader, fn func(line []byte) error) (skipped int, err error) {
 	br := bufio.NewReader(r)
 	for {

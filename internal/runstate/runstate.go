@@ -23,6 +23,14 @@
 //	                 tmp-file + fsync + atomic rename on Close; after a
 //	                 successful snapshot the journal is truncated.
 //
+// The package owns the module's durability contract. Every whole-file
+// publish, here and in package lease, goes through WriteFileAtomic, and
+// every journal line is read by one complete-lines reader (Open, Refresh
+// and the read-only Load). A published file is whole or absent after a
+// SIGKILL, and a Record that returned survives one. Power loss is not
+// covered: no directory is fsync'd, so a create, link or rename can be
+// lost with the page cache.
+//
 // Like obs, the package has a process-wide install point (SetStore) with
 // a one-atomic-load disabled path, so instrumented loops cost nothing
 // when no -resume flag is given.
@@ -204,51 +212,33 @@ func open(dir string, id Identity, workerID string) (*Store, error) {
 		// two openers that find the directory fresh together, one
 		// publishes its identity and the other is checked against it.
 		data = append(append([]byte{}, want...), '\n')
-		if err = writeFileAtomic(idPath, data, os.Link); errors.Is(err, fs.ErrExist) {
+		if err = WriteFileAtomic(dir, idPath, data, os.Link); errors.Is(err, fs.ErrExist) {
 			data, err = os.ReadFile(idPath)
 		} else if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("runstate: %w", err)
 		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("runstate: reading %s: %w", idPath, err)
 	}
-	var have Identity
-	if err := json.Unmarshal(data, &have); err != nil {
-		return nil, fmt.Errorf("runstate: %s is not a checkpoint identity: %w", idPath, err)
-	}
-	// The identity on disk keeps the schema it was written under, so one
-	// of another schema differs from this run's and is refused.
-	got, err := json.Marshal(have)
+	s, err := load(dir, workerID, data, want)
 	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(got, want) {
-		return nil, fmt.Errorf("%w: %s holds %s, this run is %s",
-			ErrIdentityMismatch, dir, summarize(got), summarize(want))
-	}
-
-	s := &Store{
-		dir: dir, workerID: workerID, shared: workerID != "",
-		units:   make(map[string]unitEntry),
-		offsets: make(map[string]int64),
-	}
-	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
 	// A previous incarnation may have been killed mid-append; seal the
 	// torn tail with a newline before replay, so the reopened journal's
 	// next record starts on a fresh line and a record that lacks only its
 	// newline stays whole (a sealed garbage line is skipped and counted on
-	// every replay).
+	// every replay). Every line is then complete, so replay reads them all.
 	if err := sealTornTail(s.journalPath()); err != nil {
 		return nil, err
 	}
 	if s.shared {
-		if err := s.refreshLocked(true); err != nil {
-			return nil, err
-		}
-	} else if err := s.replayJournal(); err != nil {
+		err = s.refreshLocked(true)
+	} else {
+		err = s.refreshFile(filepath.Base(s.journalPath()))
+	}
+	if err != nil {
 		return nil, err
 	}
 	j, err := os.OpenFile(s.journalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -262,6 +252,62 @@ func open(dir string, id Identity, workerID string) (*Store, error) {
 		obs.Event("runstate.replayed", obs.F("value", s.replayed.Load()), obs.F("dir", dir))
 		obs.Event("runstate.skipped_partial", obs.F("value", s.skippedPartial.Load()))
 		s.emitStatus()
+	}
+	return s, nil
+}
+
+// Load reads a solo checkpoint directory without writing to it: the
+// identity must already be there and equal id, and the snapshot plus
+// every complete journal line are merged as Open would merge them.
+// Nothing is published, sealed or opened for appends, so a directory a
+// live process is appending to can be read; a line still in flight, or
+// a torn tail that Open would seal, is not read. The store has no
+// journal: Record on it is dropped and Close writes nothing.
+func Load(dir string, id Identity) (*Store, error) {
+	want, err := id.canonical()
+	if err != nil {
+		return nil, fmt.Errorf("runstate: encoding identity: %w", err)
+	}
+	idPath := filepath.Join(dir, "identity.json")
+	data, err := os.ReadFile(idPath)
+	if err != nil {
+		return nil, fmt.Errorf("runstate: reading %s: %w", idPath, err)
+	}
+	s, err := load(dir, "", data, want)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.refreshFile(filepath.Base(s.journalPath())); err != nil {
+		return nil, err
+	}
+	s.replayed.Store(int64(len(s.units)))
+	return s, nil
+}
+
+// load returns the store of dir with its snapshot read, once the
+// identity file's bytes, data, decode to the canonical identity want.
+// The identity on disk keeps the schema it was written under, so one of
+// another schema differs and is refused.
+func load(dir, workerID string, data, want []byte) (*Store, error) {
+	var have Identity
+	if err := json.Unmarshal(data, &have); err != nil {
+		return nil, fmt.Errorf("runstate: %s is not a checkpoint identity: %w", filepath.Join(dir, "identity.json"), err)
+	}
+	got, err := json.Marshal(have)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(got, want) {
+		return nil, fmt.Errorf("%w: %s holds %s, this run is %s",
+			ErrIdentityMismatch, dir, summarize(got), summarize(want))
+	}
+	s := &Store{
+		dir: dir, workerID: workerID, shared: workerID != "",
+		units:   make(map[string]unitEntry),
+		offsets: make(map[string]int64),
+	}
+	if err := s.loadSnapshot(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -397,9 +443,11 @@ func (s *Store) refreshLocked(includeOwn bool) error {
 }
 
 // refreshFile ingests the complete lines of one journal file past its
-// remembered offset. A line that fails to parse — the sealed torn tail
-// of a killed incarnation — is counted and skipped; an incomplete final
-// line (a sibling's append in flight) is left for the next pass.
+// remembered offset; it is the one reader of journal lines, solo and
+// shared. A line that fails to parse — the sealed torn tail of a killed
+// incarnation — is counted and skipped; an incomplete final line (a
+// sibling's append in flight) is left for the next pass. Lines are
+// trimmed and blank ones skipped, as obs.ScanJSONLines does.
 func (s *Store) refreshFile(name string) error {
 	path := filepath.Join(s.dir, name)
 	f, err := os.Open(path)
@@ -430,9 +478,9 @@ func (s *Store) refreshFile(name string) error {
 	s.offsets[name] = off + int64(last+1)
 	for len(complete) > 0 {
 		nl := bytes.IndexByte(complete, '\n')
-		line := complete[:nl]
+		line := bytes.TrimSpace(complete[:nl])
 		complete = complete[nl+1:]
-		if len(bytes.TrimSpace(line)) == 0 {
+		if len(line) == 0 {
 			continue
 		}
 		var jl journalLine
@@ -478,35 +526,6 @@ func (s *Store) ingestLocked(key string, data json.RawMessage, token uint64) {
 	if token > old.token {
 		s.units[key] = unitEntry{data: data, token: token}
 	}
-}
-
-// replayJournal loads every well-formed journal line. Lines that do not
-// parse — the torn final append of a killed process — are skipped and
-// counted, matching the crash-tolerance contract of all JSONL readers in
-// this module.
-func (s *Store) replayJournal() error {
-	f, err := os.Open(s.journalPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("runstate: opening journal: %w", err)
-	}
-	defer f.Close()
-	skipped, err := obs.ScanJSONLines(f, func(line []byte) error {
-		var jl journalLine
-		if err := json.Unmarshal(line, &jl); err != nil || jl.Key == "" || jl.V != SchemaVersion {
-			s.skippedPartial.Add(1)
-			return nil
-		}
-		s.ingestLocked(jl.Key, jl.Payload, jl.Token)
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("runstate: replaying journal: %w", err)
-	}
-	s.skippedPartial.Add(int64(skipped))
-	return nil
 }
 
 // Lookup fetches a completed unit into out (a pointer). It returns false
@@ -645,10 +664,11 @@ func (s *Store) emitStatus() {
 func (s *Store) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.shared {
+	if s.shared || s.journal == nil {
 		// Shared directories stay append-only: a worker compacting "its"
 		// view would truncate nothing it owns exclusively and could race
 		// every sibling's replay. Journals are merged at read time instead.
+		// A loaded or closed store has no journal and writes nothing.
 		return nil
 	}
 	units := make(map[string]json.RawMessage, len(s.units))
@@ -660,16 +680,14 @@ func (s *Store) Snapshot() error {
 	if err != nil {
 		return fmt.Errorf("runstate: encoding snapshot: %w", err)
 	}
-	if err := writeFileAtomic(s.snapshotPath(), append(data, '\n'), os.Rename); err != nil {
-		return err
+	if err := WriteFileAtomic(s.dir, s.snapshotPath(), append(data, '\n'), os.Rename); err != nil {
+		return fmt.Errorf("runstate: %w", err)
 	}
-	if s.journal != nil {
-		if err := s.journal.Truncate(0); err != nil {
-			return fmt.Errorf("runstate: truncating journal after snapshot: %w", err)
-		}
-		if _, err := s.journal.Seek(0, 0); err != nil {
-			return fmt.Errorf("runstate: rewinding journal: %w", err)
-		}
+	if err := s.journal.Truncate(0); err != nil {
+		return fmt.Errorf("runstate: truncating journal after snapshot: %w", err)
+	}
+	if _, err := s.journal.Seek(0, 0); err != nil {
+		return fmt.Errorf("runstate: rewinding journal: %w", err)
 	}
 	return nil
 }
@@ -695,29 +713,36 @@ func (s *Store) Close() error {
 	return err
 }
 
-// writeFileAtomic writes data to a temp file beside path, fsyncs it and
-// publishes it at path with publish, so readers (and crashes) only ever
-// observe the old or the new content. os.Rename replaces a file already
-// at path; os.Link fails instead, with an error matching fs.ErrExist.
-func writeFileAtomic(path string, data []byte, publish func(tmp, path string) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+// WriteFileAtomic is the module's one whole-file publish. It writes data
+// to a temp file in tmpDir (on path's file system), fsyncs and closes it,
+// then puts it at path with publish and removes the temp name. os.Rename
+// replaces a file already at path; os.Link refuses one with an error
+// matching fs.ErrExist, so the first publisher wins (the O_EXCL rule)
+// and the file it published is left as it was. After a SIGKILL at any
+// point a reader sees at path the old file, the new one or none, never
+// a torn one. A call that returns leaves no temp file; a killed one can
+// leave one in tmpDir (path's base name, ".tmp" and a random suffix),
+// which whatever lists tmpDir must ignore. Power loss is not covered: no directory is fsync'd. Errors name path
+// but carry no package prefix; each caller adds its own.
+func WriteFileAtomic(tmpDir, path string, data []byte, publish func(oldname, newname string) error) error {
+	tmp, err := os.CreateTemp(tmpDir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("runstate: creating temp file: %w", err)
+		return fmt.Errorf("creating temp file for %s: %w", path, err)
 	}
 	defer os.Remove(tmp.Name())
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return fmt.Errorf("runstate: writing %s: %w", path, err)
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("runstate: fsync %s: %w", path, err)
+		return fmt.Errorf("fsync %s: %w", path, err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runstate: closing %s: %w", path, err)
+		return fmt.Errorf("closing %s: %w", path, err)
 	}
 	if err := publish(tmp.Name(), path); err != nil {
-		return fmt.Errorf("runstate: publishing %s: %w", path, err)
+		return fmt.Errorf("publishing %s: %w", path, err)
 	}
 	return nil
 }

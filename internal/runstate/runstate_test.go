@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -107,6 +108,103 @@ func TestTornTrailingLineTolerated(t *testing.T) {
 	var got point
 	if !s2.Lookup("c", &got) || got.Index != 2 {
 		t.Fatalf("re-recorded unit not visible: %+v", got)
+	}
+}
+
+// TestWriteFileAtomic: a link publish refuses a path that exists, with an
+// error matching fs.ErrExist, and leaves that file as it was; a rename
+// publish replaces it; a write that fails leaves no target. No call
+// leaves a temp file, and every error names the target.
+func TestWriteFileAtomic(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		existing bool   // the target holds "old" before the call
+		tmpDir   string // the temp directory, under the test's directory
+		publish  func(oldname, newname string) error
+		wantErr  error  // nil when the call must succeed
+		want     string // the target's content after; "" when it must not exist
+	}{
+		{"link publishes a fresh path", false, "tmp", os.Link, nil, "new"},
+		{"link refuses an existing path", true, "tmp", os.Link, fs.ErrExist, "old"},
+		{"rename replaces an existing path", true, "tmp", os.Rename, nil, "new"},
+		{"missing temp directory", false, "gone", os.Rename, fs.ErrNotExist, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.Mkdir(filepath.Join(dir, "tmp"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "f")
+			if tc.existing {
+				if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := WriteFileAtomic(filepath.Join(dir, tc.tmpDir), path, []byte("new"), tc.publish)
+			if (tc.wantErr == nil) != (err == nil) || !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if err != nil && !strings.Contains(err.Error(), path) {
+				t.Fatalf("error %q does not name %s", err, path)
+			}
+			got, rerr := os.ReadFile(path)
+			if tc.want == "" && !errors.Is(rerr, fs.ErrNotExist) || tc.want != "" && string(got) != tc.want {
+				t.Fatalf("target reads %q (%v), want %q", got, rerr, tc.want)
+			}
+			var names []string
+			for _, sub := range []string{".", "tmp"} {
+				entries, err := os.ReadDir(filepath.Join(dir, sub))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					names = append(names, filepath.Join(sub, e.Name()))
+				}
+			}
+			want := []string{"tmp"}
+			if tc.want != "" {
+				want = []string{"f", "tmp"}
+			}
+			if !slices.Equal(names, want) {
+				t.Fatalf("directory holds %q, want %q", names, want)
+			}
+		})
+	}
+}
+
+// TestLoadChecksIdentity: Load refuses a directory without an identity
+// rather than reading it as empty, refuses another run's identity as
+// Open does, and reads this run's units; closing what it returns writes
+// no snapshot.
+func TestLoadChecksIdentity(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Load(dir, testIdentity()); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Load of an empty directory: err = %v, want fs.ErrNotExist", err)
+	}
+	s, err := Open(dir, testIdentity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Record("a", point{Index: 1})
+	kill(s)
+	other := testIdentity()
+	other.Seeds["sim"] = 8
+	if _, err := Load(dir, other); !errors.Is(err, ErrIdentityMismatch) {
+		t.Fatalf("err = %v, want ErrIdentityMismatch", err)
+	}
+	ro, err := Load(dir, testIdentity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got point
+	if !ro.Lookup("a", &got) || got.Index != 1 || ro.Stats().Replayed != 1 {
+		t.Fatalf("Load read %+v, stats %+v", got, ro.Stats())
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("closing a loaded store wrote a snapshot (stat: %v)", err)
 	}
 }
 

@@ -53,6 +53,30 @@ func OpenDurableStore(state string) (*DurableStore, error) {
 		return nil, err
 	}
 	d := &DurableStore{mem: NewMemStore(), st: st, dir: state}
+	if err := replayJobs(st, d.mem); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// LoadJobs returns the jobs journaled under a daemon state directory, in
+// Seq order, without writing to it (runstate.Load), so it can read a
+// live daemon's directory; a record still being appended is not read.
+// A directory that holds no job store is an error.
+func LoadJobs(state string) ([]Job, error) {
+	st, err := runstate.Load(jobsDir(state), storeIdentity())
+	if err != nil {
+		return nil, fmt.Errorf("service: loading jobs of %s: %w", state, err)
+	}
+	mem := NewMemStore()
+	if err := replayJobs(st, mem); err != nil {
+		return nil, err
+	}
+	return mem.List(), nil
+}
+
+// replayJobs creates every job record of st in mem.
+func replayJobs(st *runstate.Store, mem *MemStore) error {
 	for _, key := range st.Keys("job/") {
 		var j Job
 		if !st.Lookup(key, &j) || j.ID == "" {
@@ -61,11 +85,11 @@ func OpenDurableStore(state string) (*DurableStore, error) {
 			// journal tails.
 			continue
 		}
-		if err := d.mem.Create(&j); err != nil {
-			return nil, fmt.Errorf("service: replaying %s: %w", key, err)
+		if err := mem.Create(&j); err != nil {
+			return fmt.Errorf("service: replaying %s: %w", key, err)
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // Dir returns the daemon state directory this store persists under.

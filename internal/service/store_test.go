@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io/fs"
+	"maps"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"commsched/internal/runstate"
@@ -160,6 +165,87 @@ func TestDurableStoreSchemaMismatchRefused(t *testing.T) {
 	if !errors.Is(err, runstate.ErrIdentityMismatch) {
 		t.Fatalf("want ErrIdentityMismatch, got %v", err)
 	}
+}
+
+// TestLoadJobsReadsWithoutWriting reads a live daemon's state directory:
+// jobs from the snapshot and from the journal come back in Seq order,
+// the last record of each job winning; a final record that still lacks
+// its newline (an append in flight) is not read; and no file in the
+// directory is created, removed or changed.
+func TestLoadJobsReadsWithoutWriting(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := OpenDurableStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1 := Job{ID: "j1", Seq: 1, Spec: specEval(), State: StateQueued}
+	j2 := Job{ID: "j2", Seq: 2, Spec: specEval(), State: StateQueued}
+	for _, j := range []*Job{&j2, &j1} {
+		if err := ds.Create(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Close(); err != nil { // j1 and j2 go to the snapshot
+		t.Fatal(err)
+	}
+	live, err := OpenDurableStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	j1.State = StateDone
+	j3 := Job{ID: "j3", Seq: 3, Spec: specEval(), State: StateRunning}
+	if err := live.Update(&j1); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Create(&j3); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(jobsDir(dir), "journal.jsonl")
+	f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString(`{"v":1,"key":"job/j4","payload":{"id":"j4","seq":4,"state":"queued"}}`)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := readTree(t, dir)
+
+	jobs, err := LoadJobs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, j := range jobs {
+		got = append(got, fmt.Sprintf("%s:%d:%s", j.ID, j.Seq, j.State))
+	}
+	if want := []string{"j1:1:done", "j2:2:queued", "j3:3:running"}; !slices.Equal(got, want) {
+		t.Fatalf("LoadJobs = %v, want %v", got, want)
+	}
+	if after := readTree(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Fatalf("LoadJobs changed the state directory:\nbefore %q\nafter  %q", before, after)
+	}
+}
+
+// readTree maps every file under dir to its bytes.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		files[path], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 func TestCkptRootLayout(t *testing.T) {
